@@ -21,9 +21,7 @@ from .consensus import VcdfConfig, run_vcdf, stability_report_to_json
 from .discovery import DISCOVERERS, DiscovererConfig, make_discoverer
 from .evaluation import F1Result, aggregate, summary_f1, window_f1
 from .series import (
-    MultivariateSeries,
     WindowGraph,
-    graph_to_json,
     read_graph_json,
     read_series_csv,
     write_graph_json,
@@ -42,7 +40,6 @@ EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
 BENCH_PRESETS = ("characteristics", "lengths", "runtime")
-METHOD_IDS = ("varlingam", "lagreg", "vcdf-varlingam", "vcdf-lagreg")
 
 PAPER_SCALE_N = 15
 
@@ -79,16 +76,25 @@ def _resolve(flag_value, config: dict, key: str, default):
     return default
 
 
+def _resolve_number(kind: type, flag_value, config: dict, key: str, default):
+    """`_resolve` converted by `kind` (int or float); a config value it cannot convert is a usage error."""
+    value = _resolve(flag_value, config, key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if kind is int else "a number"
+        raise UsageError(f"config key {key!r} must be {expected}, got {value!r}") from None
+
+
 def _discoverer_config(args, config: dict) -> DiscovererConfig:
     sub = config.get("discoverer", {})
     if not isinstance(sub, dict):
         raise UsageError("config key 'discoverer' must be an object")
+    max_lag = _resolve_number(int, args.max_lag, sub, "max_lag", DEFAULT_MAX_LAG)
+    prune = _resolve_number(float, args.prune, sub, "prune_threshold", 0.05)
+    alpha = _resolve_number(float, args.alpha, sub, "alpha", 0.01)
     try:
-        return DiscovererConfig(
-            max_lag=int(_resolve(args.max_lag, sub, "max_lag", DEFAULT_MAX_LAG)),
-            prune_threshold=float(_resolve(args.prune, sub, "prune_threshold", 0.05)),
-            alpha=float(_resolve(getattr(args, "alpha", None), sub, "alpha", 0.01)),
-        )
+        return DiscovererConfig(max_lag=max_lag, prune_threshold=prune, alpha=alpha)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -97,14 +103,13 @@ def _vcdf_config(args, config: dict) -> VcdfConfig:
     sub = config.get("vcdf", {})
     if not isinstance(sub, dict):
         raise UsageError("config key 'vcdf' must be an object")
+    k = _resolve_number(int, args.k, sub, "k", 5)
+    tau_c = _resolve_number(float, args.tau_c, sub, "tau_c", 0.4)
+    tau_v = _resolve_number(float, args.tau_v, sub, "tau_v", 0.4)
+    w = _resolve_number(float, args.w, sub, "w", 0.0)
+    epsilon = _resolve_number(float, args.epsilon, sub, "epsilon", 1e-8)
     try:
-        return VcdfConfig(
-            k=int(_resolve(args.k, sub, "k", 5)),
-            tau_c=float(_resolve(args.tau_c, sub, "tau_c", 0.4)),
-            tau_v=float(_resolve(args.tau_v, sub, "tau_v", 0.4)),
-            w=float(_resolve(args.w, sub, "w", 0.0)),
-            epsilon=float(_resolve(getattr(args, "epsilon", None), sub, "epsilon", 1e-8)),
-        )
+        return VcdfConfig(k=k, tau_c=tau_c, tau_v=tau_v, w=w, epsilon=epsilon)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -121,16 +126,16 @@ def cmd_generate(args) -> int:
         raise UsageError("generate requires --setting (or 'setting' in --config)")
     if setting not in SETTINGS:
         raise UsageError(f"unknown setting {setting!r}, expected one of {', '.join(SETTINGS)}")
-    n = int(_resolve(args.n, config, "n", PAPER_SCALE_N))
-    T = int(_resolve(args.T, config, "T", 1000))
-    realizations = int(_resolve(args.realizations, config, "realizations", 10))
-    seed = int(_resolve(args.seed, config, "seed", 0))
+    n = _resolve_number(int, args.n, config, "n", PAPER_SCALE_N)
+    T = _resolve_number(int, args.T, config, "T", 1000)
+    realizations = _resolve_number(int, args.realizations, config, "realizations", 10)
+    seed = _resolve_number(int, args.seed, config, "seed", 0)
     out = _resolve(args.out, config, "out", None)
     if out is None:
         raise UsageError("generate requires --out (or 'out' in --config)")
-    max_lag = int(_resolve(args.max_lag, config, "max_lag", DEFAULT_MAX_LAG))
-    density = float(_resolve(args.density, config, "density", DEFAULT_DENSITY))
-    burn_in = int(_resolve(args.burn_in, config, "burn_in", DEFAULT_BURN_IN))
+    max_lag = _resolve_number(int, args.max_lag, config, "max_lag", DEFAULT_MAX_LAG)
+    density = _resolve_number(float, args.density, config, "density", DEFAULT_DENSITY)
+    burn_in = _resolve_number(int, args.burn_in, config, "burn_in", DEFAULT_BURN_IN)
 
     task = f"generate:{setting}"
     suite_seed = derive_seed(seed, task)
@@ -305,8 +310,6 @@ def _split_method(method: str) -> tuple[str, bool]:
 
 
 def cmd_bench(args) -> int:
-    if args.preset not in BENCH_PRESETS:
-        raise UsageError(f"unknown preset {args.preset!r}, expected one of {', '.join(BENCH_PRESETS)}")
     n = args.n if args.n is not None else PAPER_SCALE_N
     if n != PAPER_SCALE_N:
         print(f"warning: running with n={n} instead of the reference scale n={PAPER_SCALE_N}; "
@@ -376,10 +379,24 @@ def _stats_doc(stats) -> dict:
 
 
 def render_bench_table(report: dict) -> str:
-    """Fixed-width table derived purely from the report document."""
-    headers = ["setting", "T", "method", "window F1", "summary F1", "seconds"]
+    """Fixed-width table derived purely from the report document.
+
+    A ``vcdf-<m>`` row also shows its paired comparison with the ``<m>`` row of
+    the same (setting, T): the window and summary F1 deltas (vcdf minus base)
+    and its mean time as a multiple of the base's. Base rows leave these blank.
+    """
+    headers = ["setting", "T", "method", "window F1", "summary F1", "seconds",
+               "d window F1", "d summary F1", "time ratio"]
+    rows = {(row["setting"], row["T"], row["method"]): row for row in report["rows"]}
     lines = []
     for row in report["rows"]:
+        base_id, wrapped = _split_method(row["method"])
+        base = rows.get((row["setting"], row["T"], base_id)) if wrapped else None
+        paired = ["", "", ""] if base is None else [
+            "%+.3f" % (row["window"]["f1_mean"] - base["window"]["f1_mean"]),
+            "%+.3f" % (row["summary"]["f1_mean"] - base["summary"]["f1_mean"]),
+            "%.2f" % (row["seconds_mean"] / base["seconds_mean"]),
+        ]
         lines.append([
             str(row["setting"]),
             str(row["T"]),
@@ -387,7 +404,7 @@ def render_bench_table(report: dict) -> str:
             "%.3f +- %.3f" % (row["window"]["f1_mean"], row["window"]["f1_std"]),
             "%.3f +- %.3f" % (row["summary"]["f1_mean"], row["summary"]["f1_std"]),
             "%.3f" % row["seconds_mean"],
-        ])
+        ] + paired)
     widths = [max(len(headers[c]), max((len(line[c]) for line in lines), default=0))
               for c in range(len(headers))]
     def fmt(cells):
@@ -402,6 +419,19 @@ def render_bench_table(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # Flags shared between subcommands, each declared once: --max-lag by all
+    # three, the method and filter knobs by discover and bench.
+    lag_flag = argparse.ArgumentParser(add_help=False)
+    lag_flag.add_argument("--max-lag", type=int, dest="max_lag", help="largest lag (default 3)")
+    method_flags = argparse.ArgumentParser(add_help=False)
+    method_flags.add_argument("--prune", type=float, help="absolute weight threshold (default 0.05)")
+    method_flags.add_argument("--alpha", type=float, help="lagreg significance level (default 0.01)")
+    method_flags.add_argument("--k", type=int, help="fold count (default 5)")
+    method_flags.add_argument("--tau-c", type=float, dest="tau_c", help="consistency threshold (default 0.4)")
+    method_flags.add_argument("--tau-v", type=float, dest="tau_v", help="variability threshold (default 0.4)")
+    method_flags.add_argument("--w", type=float, help="fold-mean refinement weight (default 0)")
+    method_flags.add_argument("--epsilon", type=float, help="variability regularizer (default 1e-8)")
+
     parser = argparse.ArgumentParser(
         prog="vcdf",
         description="Consensus-validated time-series causal discovery experiments.",
@@ -409,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a labeled synthetic dataset suite")
+    gen = sub.add_parser("generate", parents=[lag_flag], help="write a labeled synthetic dataset suite")
     gen.add_argument("--config", help="JSON experiment config; flags override its values")
     gen.add_argument("--setting", choices=SETTINGS)
     gen.add_argument("--n", type=int, help="number of variables (default 15)")
@@ -417,24 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--realizations", type=int, help="independent systems (default 10)")
     gen.add_argument("--seed", type=int, help="master seed (default 0)")
     gen.add_argument("--out", help="output directory")
-    gen.add_argument("--max-lag", type=int, dest="max_lag")
     gen.add_argument("--density", type=float)
     gen.add_argument("--burn-in", type=int, dest="burn_in")
     gen.set_defaults(handler=cmd_generate)
 
-    dis = sub.add_parser("discover", help="estimate a causal graph from a series CSV")
+    dis = sub.add_parser("discover", parents=[lag_flag, method_flags],
+                         help="estimate a causal graph from a series CSV")
     dis.add_argument("series", help="input series CSV")
     dis.add_argument("--config", help="JSON experiment config; flags override its values")
     dis.add_argument("--method", choices=sorted(DISCOVERERS))
-    dis.add_argument("--max-lag", type=int, dest="max_lag")
-    dis.add_argument("--prune", type=float, help="absolute weight threshold (default 0.05)")
-    dis.add_argument("--alpha", type=float, help="lagreg significance level (default 0.01)")
     dis.add_argument("--vcdf", action="store_true", help="wrap the method in stability filtering")
-    dis.add_argument("--k", type=int, help="fold count (default 5)")
-    dis.add_argument("--tau-c", type=float, dest="tau_c", help="consistency threshold (default 0.4)")
-    dis.add_argument("--tau-v", type=float, dest="tau_v", help="variability threshold (default 0.4)")
-    dis.add_argument("--w", type=float, help="fold-mean refinement weight (default 0)")
-    dis.add_argument("--epsilon", type=float, help="variability regularizer (default 1e-8)")
     dis.add_argument("--truth", help="truth graph JSON; adds a metrics file")
     dis.add_argument("--out", help="output directory")
     dis.set_defaults(handler=cmd_discover)
@@ -445,21 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="also write the metrics JSON here")
     ev.set_defaults(handler=cmd_evaluate)
 
-    ben = sub.add_parser("bench", help="run a preset benchmark grid")
+    ben = sub.add_parser("bench", parents=[lag_flag, method_flags], help="run a preset benchmark grid")
     ben.add_argument("preset", choices=BENCH_PRESETS)
     ben.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     ben.add_argument("--out", help="directory for report.json and table.txt")
     ben.add_argument("--n", type=int, help="variables per system (warns when not 15)")
     ben.add_argument("--realizations", type=int, help="datasets per cell (default 10; runtime preset 5)")
     ben.add_argument("--setting", choices=SETTINGS, help="override the preset's setting")
-    ben.add_argument("--max-lag", type=int, dest="max_lag")
-    ben.add_argument("--prune", type=float)
-    ben.add_argument("--alpha", type=float)
-    ben.add_argument("--k", type=int)
-    ben.add_argument("--tau-c", type=float, dest="tau_c")
-    ben.add_argument("--tau-v", type=float, dest="tau_v")
-    ben.add_argument("--w", type=float)
-    ben.add_argument("--epsilon", type=float)
     ben.set_defaults(handler=cmd_bench)
     return parser
 

@@ -217,15 +217,19 @@ def stability_report_from_json(text: str) -> StabilityReport:
     cfg = doc["config"]
     if not isinstance(cfg, dict):
         raise ValueError("stability report field 'config' must be an object")
-    try:
-        config = VcdfConfig(
-            k=cfg["k"], tau_c=cfg["tau_c"], tau_v=cfg["tau_v"], w=cfg["w"], epsilon=cfg["epsilon"]
-        )
-    except KeyError as exc:
-        raise ValueError(f"stability report config is missing {exc}") from None
+    for key in ("k", "tau_c", "tau_v", "w", "epsilon"):
+        if key not in cfg:
+            raise ValueError(f"stability report config is missing {key!r}")
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
+            raise ValueError(f"stability report config {key!r} must be a number, got {cfg[key]!r}")
+    config = VcdfConfig(k=cfg["k"], tau_c=cfg["tau_c"], tau_v=cfg["tau_v"], w=cfg["w"], epsilon=cfg["epsilon"])
+    if not isinstance(doc["edges"], list):
+        raise ValueError("stability report field 'edges' must be an array")
     edges = []
     for idx, item in enumerate(doc["edges"]):
         try:
+            if not isinstance(item["kept"], bool):
+                raise ValueError(f"'kept' must be true or false, got {item['kept']!r}")
             edges.append(
                 EdgeStability(
                     cause=int(item["cause"]),
@@ -235,7 +239,7 @@ def stability_report_from_json(text: str) -> StabilityReport:
                     folds=tuple(float(v) for v in item["folds"]),
                     c=float(item["c"]),
                     v=float(item["v"]),
-                    kept=bool(item["kept"]),
+                    kept=item["kept"],
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -84,17 +84,26 @@ def _qr_solve(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beta, R
 
 
-def fit_var(series: MultivariateSeries, p: int) -> VarFit:
-    """Ordinary least squares fit of a lag-p autoregression with intercept."""
+def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares of x_t on an intercept and lags 1..p: ``(beta, residuals, R)``.
+
+    ``beta`` rows are the intercept then lag-major blocks of n regressors;
+    ``R`` is the triangular factor of the design, for coefficient variances.
+    """
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
-    values = series.values
     T, n = values.shape
     if T <= n * p + p + 1:
         raise ValueError(f"need more than {n * p + p + 1} steps to fit {n} variables at lag {p}, got {T}")
     Z, Y = _lagged_design(values, p)
-    beta, _ = _qr_solve(Z, Y)
-    residuals = Y - Z @ beta
+    beta, R = _qr_solve(Z, Y)
+    return beta, Y - Z @ beta, R
+
+
+def fit_var(series: MultivariateSeries, p: int) -> VarFit:
+    """Ordinary least squares fit of a lag-p autoregression with intercept."""
+    beta, residuals, _ = _lagged_ols(series.values, p)
+    n = series.n_vars
     coefs = np.stack([beta[1 + (lag - 1) * n : 1 + lag * n].T for lag in range(1, p + 1)])
     return VarFit(coefs, residuals, beta[0].copy())
 
@@ -219,14 +228,9 @@ def varlingam_discover(series: MultivariateSeries, config: DiscovererConfig) -> 
 def lagreg_discover(series: MultivariateSeries, config: DiscovererConfig) -> WindowGraph:
     """Per-target lagged regression keeping significant, non-trivial coefficients."""
     p = config.max_lag
-    values = series.values
-    T, n = values.shape
-    if T <= n * p + p + 1:
-        raise ValueError(f"need more than {n * p + p + 1} steps to fit {n} variables at lag {p}, got {T}")
-    Z, Y = _lagged_design(values, p)
-    beta, R = _qr_solve(Z, Y)
-    residuals = Y - Z @ beta
-    rows, q = Z.shape
+    n = series.n_vars
+    beta, residuals, R = _lagged_ols(series.values, p)
+    rows, q = residuals.shape[0], R.shape[0]
     dof = rows - q
     sigma2 = (residuals**2).sum(axis=0) / dof
     r_inv = np.linalg.solve(R, np.eye(q))

@@ -100,10 +100,7 @@ class WindowGraph:
             if edge.key in seen:
                 raise ValueError(f"duplicate edge for (cause, effect, lag) = {edge.key}")
             seen.add(edge.key)
-        cycle = _instantaneous_cycle(self.n, edges)
-        if cycle is not None:
-            path = " -> ".join(str(v) for v in cycle)
-            raise ValueError(f"instantaneous (lag-0) edges form a cycle: {path}")
+        instantaneous_order(self.n, edges)
         object.__setattr__(self, "edges", edges)
 
     def sorted_edges(self) -> list[Edge]:
@@ -146,38 +143,39 @@ def summarize(window: WindowGraph) -> SummaryGraph:
     return SummaryGraph(window.n, frozenset((e.cause, e.effect) for e in window.edges))
 
 
-def _instantaneous_cycle(n: int, edges: Iterable[Edge]) -> list[int] | None:
-    """Return one directed cycle among the lag-0 edges, or None if there is none."""
+def instantaneous_order(n: int, edges: Iterable[Edge]) -> list[int]:
+    """Topological order of variables 0..n-1 under the lag-0 edges (Kahn's algorithm).
+
+    Ties go to the lowest-numbered ready variable. When the lag-0 edges hold a
+    cycle, raises ValueError naming one, e.g. ``cycle: 0 -> 1 -> 0``.
+    """
+    indegree = [0] * n
     succ: dict[int, list[int]] = {}
+    pred: dict[int, list[int]] = {}
     for edge in edges:
         if edge.lag == 0:
+            indegree[edge.effect] += 1
             succ.setdefault(edge.cause, []).append(edge.effect)
-    for targets in succ.values():
-        targets.sort()
-    color = {}  # 0 active, 1 done
-    for root in sorted(succ):
-        if root in color:
-            continue
-        stack = [(root, iter(succ.get(root, ())))]
-        color[root] = 0
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 0:
-                    return path[path.index(nxt):] + [nxt]
-                if nxt not in color:
-                    color[nxt] = 0
-                    path.append(nxt)
-                    stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 1
-                path.pop()
-                stack.pop()
-    return None
+            pred.setdefault(edge.effect, []).append(edge.cause)
+    ready = [j for j in range(n) if indegree[j] == 0]
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        for nxt in succ.get(node, ()):
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                ready.append(nxt)
+    if len(order) == n:
+        return order
+    # Every variable left unordered keeps a lag-0 parent that is also left, so
+    # walking parents from any of them must revisit one: that walk is a cycle.
+    left = set(range(n)) - set(order)
+    walk = [min(left)]
+    while walk.count(walk[-1]) == 1:
+        walk.append(min(c for c in pred[walk[-1]] if c in left))
+    cycle = walk[walk.index(walk[-1]):][::-1]
+    raise ValueError("instantaneous (lag-0) edges form a cycle: " + " -> ".join(map(str, cycle)))
 
 
 # ---------------------------------------------------------------------------

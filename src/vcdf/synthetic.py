@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Edge, MultivariateSeries, WindowGraph
+from .series import Edge, MultivariateSeries, WindowGraph, instantaneous_order
 
 SETTINGS = ("linear", "nonlinear", "non_gaussian", "trended")
 NOISES = ("gaussian", "uniform", "laplace")
@@ -229,26 +229,6 @@ def _draw_noise(rng: np.random.Generator, law: str, shape: tuple[int, int]) -> n
     raise ValueError(f"unknown noise law {law!r}")
 
 
-def _topological_order(n: int, inst_edges: tuple[Edge, ...]) -> list[int]:
-    indegree = [0] * n
-    succ: dict[int, list[int]] = {}
-    for edge in inst_edges:
-        indegree[edge.effect] += 1
-        succ.setdefault(edge.cause, []).append(edge.effect)
-    ready = sorted(j for j in range(n) if indegree[j] == 0)
-    order = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for nxt in succ.get(node, ()):
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                ready.append(nxt)
-    if len(order) != n:
-        raise ValueError("instantaneous layer is cyclic")
-    return order
-
-
 def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDataset:
     """Simulate T steps of the system after discarding `burn_in` warm-up steps.
 
@@ -264,7 +244,7 @@ def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDa
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
     total = burn_in + T
     noise = _draw_noise(rng, spec.noise, (total, spec.n))
-    order = _topological_order(spec.n, spec.inst_edges)
+    order = instantaneous_order(spec.n, spec.inst_edges)
     lag_parents: dict[int, list[tuple[int, int, float]]] = {}
     for edge in spec.lag_edges:
         lag_parents.setdefault(edge.effect, []).append((edge.cause, edge.lag, edge.weight))

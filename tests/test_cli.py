@@ -79,6 +79,14 @@ def test_generate_rejects_unknown_config_keys(tmp_path):
     assert run("generate", "--config", config, "--out", tmp_path / "x") == 2
 
 
+def test_generate_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "linear", "n": "abc"}))
+    assert run("generate", "--config", config, "--out", tmp_path / "x") == 2
+    assert "'n'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # discover
 # ---------------------------------------------------------------------------
@@ -131,6 +139,15 @@ def test_discover_malformed_csv_exits_2_without_outputs(tmp_path, capsys):
     out = tmp_path / "nothing"
     assert run("discover", bad, "--out", out) == 2
     assert "row 1, column 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_discover_config_value_of_the_wrong_type_exits_2(dataset_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vcdf": {"k": [5]}}))
+    out = tmp_path / "nothing"
+    assert run("discover", dataset_dir / "series_000.csv", "--config", config, "--vcdf", "--out", out) == 2
+    assert "'k'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Fold plans, stability metrics, the filtering loop, and the stability report format."""
 
+import json
 import math
 
 import numpy as np
@@ -362,9 +363,16 @@ def test_empty_report_is_canonical():
 
 
 def test_report_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        stability_report_from_json("[1, 2, 3]")
-    with pytest.raises(ValueError):
-        stability_report_from_json("{not json")
-    with pytest.raises(ValueError):
-        stability_report_from_json('{"config": {}, "edges": []}')
+    config = {"k": 5, "tau_c": 0.4, "tau_v": 0.4, "w": 0.0, "epsilon": 1e-8}
+    edge = {"cause": 0, "effect": 1, "lag": 1, "r0": 0.5, "folds": [0.5, 0.5], "c": 1.0, "v": 0.0, "kept": True}
+    for text in (
+        "[1, 2, 3]",
+        "{not json",
+        '{"config": {}, "edges": []}',
+        json.dumps({"config": {**config, "k": "5"}, "edges": []}),
+        json.dumps({"config": {**config, "tau_c": "0.4"}, "edges": []}),
+        json.dumps({"config": config, "edges": 5}),
+        json.dumps({"config": config, "edges": [{**edge, "kept": "no"}]}),
+    ):
+        with pytest.raises(ValueError):
+            stability_report_from_json(text)

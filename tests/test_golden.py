@@ -1,0 +1,78 @@
+"""Golden outputs: the CLI's files for one fixed small suite, byte for byte.
+
+The files under tests/golden/ are the output of
+
+    vcdf generate --setting linear --n 5 --T 300 --realizations 1 --seed 0 --out generate/
+    (cd generate && vcdf discover series_000.csv --method M [--vcdf] --truth truth_000.json --out ...)
+    vcdf bench characteristics --n 5 --realizations 1 --out ...
+
+for M in {varlingam, lagreg}, with the timing lines (`seconds` in meta.json,
+`seconds_mean` in report.json) cut out. A refactor that claims to change no
+output must leave every one of these tests passing with no golden byte edited.
+The bench table golden is rendered from the golden report with fixed stand-in
+timings, so its paired delta and time-ratio columns are pinned too.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from vcdf.cli import main, render_bench_table
+
+GOLDEN = Path(__file__).parent / "golden"
+_TIMING_LINE = re.compile(rb'^ *"seconds(?:_mean)?": [^\n]*\n', re.M)
+
+
+def untimed(data: bytes) -> bytes:
+    return _TIMING_LINE.sub(b"", data)
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+def test_generate_matches_golden(tmp_path):
+    out = tmp_path / "generate"
+    assert run("generate", "--setting", "linear", "--n", "5", "--T", "300",
+               "--realizations", "1", "--seed", "0", "--out", out) == 0
+    expected = GOLDEN / "generate"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("label", ["varlingam", "vcdf-varlingam", "lagreg", "vcdf-lagreg"])
+def test_discover_matches_golden(label, tmp_path, monkeypatch):
+    # Run from the golden data directory, so meta.json records a relative input path.
+    monkeypatch.chdir(GOLDEN / "generate")
+    out = tmp_path / "run"
+    method = label.removeprefix("vcdf-")
+    argv = ["discover", "series_000.csv", "--method", method, "--truth", "truth_000.json", "--out", out]
+    if label != method:
+        argv.append("--vcdf")
+    assert run(*argv) == 0
+    expected = GOLDEN / "discover" / label
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
+    for path in expected.iterdir():
+        assert untimed((out / path.name).read_bytes()) == path.read_bytes(), path.name
+
+
+def test_bench_report_matches_golden(tmp_path):
+    out = tmp_path / "bench"
+    assert run("bench", "characteristics", "--n", "5", "--realizations", "1", "--out", out) == 0
+    golden = GOLDEN / "bench" / "characteristics.report.json"
+    assert untimed((out / "report.json").read_bytes()) == golden.read_bytes()
+
+
+def stand_in_timed(report: dict) -> dict:
+    for i, row in enumerate(report["rows"]):
+        row["seconds_mean"] = 0.01 * (i + 1)
+    return report
+
+
+def test_bench_table_matches_golden():
+    report = json.loads((GOLDEN / "bench" / "characteristics.report.json").read_text(encoding="utf-8"))
+    table = render_bench_table(stand_in_timed(report))
+    assert table == (GOLDEN / "bench" / "characteristics.table.txt").read_text(encoding="utf-8")
