@@ -11,6 +11,8 @@ for M in {varlingam, lagreg}, with the timing lines (`seconds` in meta.json,
 output must leave every one of these tests passing with no golden byte edited.
 The bench table golden is rendered from the golden report with fixed stand-in
 timings, so its paired delta and time-ratio columns are pinned too.
+``orders.json`` holds the DirectLiNGAM causal orders of `lingam_orders` below,
+so a change to the ordering code must reproduce every order exactly.
 """
 
 import json
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from vcdf import SETTINGS, benchmark_suite, direct_lingam_order, fit_var
 from vcdf.cli import main, render_bench_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,3 +79,23 @@ def test_bench_table_matches_golden():
     report = json.loads((GOLDEN / "bench" / "characteristics.report.json").read_text(encoding="utf-8"))
     table = render_bench_table(stand_in_timed(report))
     assert table == (GOLDEN / "bench" / "characteristics.table.txt").read_text(encoding="utf-8")
+
+
+ORDER_SHAPES = ((8, 1000), (15, 1000), (15, 250))
+
+
+def lingam_orders() -> dict:
+    """``direct_lingam_order`` orders on the VAR(3) residuals of a fixed suite, keyed by cell."""
+    orders = {}
+    for setting in SETTINGS:
+        for n, T in ORDER_SHAPES:
+            suite = benchmark_suite(setting, n, T, 2, 0)
+            orders[f"{setting} n={n} T={T}"] = [
+                direct_lingam_order(fit_var(ds.series, 3).residuals)[0] for ds in suite
+            ]
+    return orders
+
+
+def test_direct_lingam_orders_match_golden():
+    golden = json.loads((GOLDEN / "orders.json").read_text(encoding="utf-8"))
+    assert lingam_orders() == golden
