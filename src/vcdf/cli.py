@@ -77,13 +77,28 @@ def _resolve(flag_value, config: dict, key: str, default):
 
 
 def _resolve_number(kind: type, flag_value, config: dict, key: str, default):
-    """`_resolve` converted by `kind` (int or float); a config value it cannot convert is a usage error."""
+    """`_resolve` converted by `kind` (int or float); a config value it cannot convert is a usage error.
+
+    Booleans are not numbers here, and an integer key takes no fractional value.
+    """
     value = _resolve(flag_value, config, key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
-        raise UsageError(f"config key {key!r} must be {expected}, got {value!r}") from None
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    expected = "an integer" if kind is int else "a number"
+    raise UsageError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
+def _resolve_out(args, config: dict, command: str) -> str:
+    out = _resolve(args.out, config, "out", None)
+    if out is None:
+        raise UsageError(f"{command} requires --out (or 'out' in --config)")
+    if not isinstance(out, str):
+        raise UsageError(f"config key 'out' must be a string, got {out!r}")
+    return out
 
 
 def _discoverer_config(args, config: dict) -> DiscovererConfig:
@@ -99,10 +114,19 @@ def _discoverer_config(args, config: dict) -> DiscovererConfig:
         raise UsageError(str(exc)) from None
 
 
-def _vcdf_config(args, config: dict) -> VcdfConfig:
-    sub = config.get("vcdf", {})
+def _vcdf_section(config: dict) -> dict | None:
+    """The config's 'vcdf' thresholds: true or an object turns the filter on, false or null leaves it off."""
+    sub = config.get("vcdf")
+    if sub is None or sub is False:
+        return None
+    if sub is True:
+        return {}
     if not isinstance(sub, dict):
-        raise UsageError("config key 'vcdf' must be an object")
+        raise UsageError(f"config key 'vcdf' must be true, false or an object, got {sub!r}")
+    return sub
+
+
+def _vcdf_config(args, sub: dict) -> VcdfConfig:
     k = _resolve_number(int, args.k, sub, "k", 5)
     tau_c = _resolve_number(float, args.tau_c, sub, "tau_c", 0.4)
     tau_v = _resolve_number(float, args.tau_v, sub, "tau_v", 0.4)
@@ -130,9 +154,7 @@ def cmd_generate(args) -> int:
     T = _resolve_number(int, args.T, config, "T", 1000)
     realizations = _resolve_number(int, args.realizations, config, "realizations", 10)
     seed = _resolve_number(int, args.seed, config, "seed", 0)
-    out = _resolve(args.out, config, "out", None)
-    if out is None:
-        raise UsageError("generate requires --out (or 'out' in --config)")
+    out = _resolve_out(args, config, "generate")
     max_lag = _resolve_number(int, args.max_lag, config, "max_lag", DEFAULT_MAX_LAG)
     density = _resolve_number(float, args.density, config, "density", DEFAULT_DENSITY)
     burn_in = _resolve_number(int, args.burn_in, config, "burn_in", DEFAULT_BURN_IN)
@@ -178,11 +200,10 @@ def cmd_discover(args) -> int:
     if method not in DISCOVERERS:
         raise UsageError(f"unknown method {method!r}, expected one of {', '.join(sorted(DISCOVERERS))}")
     disc_config = _discoverer_config(args, config)
-    use_vcdf = bool(args.vcdf or config.get("vcdf"))
-    vcdf_config = _vcdf_config(args, config) if use_vcdf else None
-    out = _resolve(args.out, config, "out", None)
-    if out is None:
-        raise UsageError("discover requires --out (or 'out' in --config)")
+    vcdf_sub = _vcdf_section(config)
+    use_vcdf = args.vcdf or vcdf_sub is not None
+    vcdf_config = _vcdf_config(args, vcdf_sub or {}) if use_vcdf else None
+    out = _resolve_out(args, config, "discover")
 
     # Load and validate every input before producing any output file.
     try:

@@ -108,20 +108,24 @@ def fit_var(series: MultivariateSeries, p: int) -> VarFit:
     return VarFit(coefs, residuals, beta[0].copy())
 
 
-def _negentropy_proxy(u: np.ndarray) -> float:
-    """Differential-entropy proxy of a standardized sample."""
-    return (
-        (1.0 + math.log(2.0 * math.pi)) / 2.0
-        - _K1 * (float(np.mean(np.log(np.cosh(u)))) - _GAMMA) ** 2
-        - _K2 * float(np.mean(u * np.exp(-(u**2) / 2.0))) ** 2
-    )
+def _entropy(u: np.ndarray) -> np.ndarray:
+    """Differential-entropy proxy of each standardized sample along the last axis.
+
+    log cosh(u) is taken as |u| + log1p(exp(-2|u|)) - log 2, which stays
+    finite for any finite u (cosh itself overflows once |u| > ~710).
+    """
+    a = np.abs(u)
+    log_cosh = (a + np.log1p(np.exp(-2.0 * a))).mean(axis=-1) - math.log(2.0)
+    gauss = (u * np.exp(-0.5 * (u * u))).mean(axis=-1)
+    return (1.0 + math.log(2.0 * math.pi)) / 2.0 - _K1 * (log_cosh - _GAMMA) ** 2 - _K2 * gauss**2
 
 
-def _standardized(column: np.ndarray) -> np.ndarray:
-    std = float(column.std())
-    if std <= _ZERO_TOLERANCE:
+def _standardized_rows(x: np.ndarray) -> np.ndarray:
+    centred = x - x.mean(axis=1, keepdims=True)
+    std = np.sqrt((centred * centred).mean(axis=1, keepdims=True))
+    if (std <= _ZERO_TOLERANCE).any():
         raise ValueError("degenerate (near-constant) residual column")
-    return (column - float(column.mean())) / std
+    return centred / std
 
 
 def _select_exogenous(work: np.ndarray, active: list[int]) -> int:
@@ -131,30 +135,25 @@ def _select_exogenous(work: np.ndarray, active: list[int]) -> int:
     variable plus the other's regression residual against the reverse
     direction; the candidate minimising the squared negative part wins,
     with ties broken toward the lowest variable index.
+
+    The residuals of one candidate on every other active variable form one
+    (m - 1, T) slab, so memory stays O(T*m).
     """
-    standardized = {i: _standardized(work[:, i]) for i in active}
-    entropy = {i: _negentropy_proxy(standardized[i]) for i in active}
-    direction = {}
-    for pos, i in enumerate(active):
-        for j in active[pos + 1 :]:
-            xi, xj = standardized[i], standardized[j]
-            corr = float(np.mean(xi * xj))
-            res_i = _standardized(xi - corr * xj)
-            res_j = _standardized(xj - corr * xi)
-            direction[(i, j)] = (entropy[j] + _negentropy_proxy(res_i)) - (
-                entropy[i] + _negentropy_proxy(res_j)
-            )
-    best, best_score = active[0], None
-    for i in active:
-        score = 0.0
-        for j in active:
-            if j == i:
-                continue
-            diff = direction[(i, j)] if (i, j) in direction else -direction[(j, i)]
-            score += min(0.0, diff) ** 2
-        if best_score is None or score < best_score:
-            best, best_score = i, score
-    return best
+    x = _standardized_rows(work.T[active])
+    entropy = _entropy(x)
+    m = len(active)
+    # residual_entropy[i, j]: entropy proxy of variable i's residual on variable j
+    residual_entropy = np.zeros((m, m))
+    for i in range(m):
+        others = np.arange(m) != i
+        rest = x[others]
+        corr = (x[i] * rest).mean(axis=1, keepdims=True)
+        residual_entropy[i, others] = _entropy(_standardized_rows(x[i] - corr * rest))
+    direction = (entropy[None, :] + residual_entropy) - (entropy[:, None] + residual_entropy.T)
+    scores = np.square(np.minimum(direction, 0.0)).sum(axis=1)
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite exogeneity score in the causal ordering")
+    return active[int(np.argmin(scores))]
 
 
 def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:

@@ -87,6 +87,29 @@ def test_generate_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("key, value", [("T", 300.9), ("n", True)])
+def test_generate_integer_key_rejects_fractions_and_bools(key, value, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "linear", "n": 5, "T": 300, key: value}))
+    assert run("generate", "--config", config, "--out", tmp_path / "x") == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_generate_integral_float_is_accepted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "linear", "n": 3, "T": 300.0, "realizations": 1}))
+    assert run("generate", "--config", config, "--out", tmp_path / "x") == 0
+    assert json.loads((tmp_path / "x" / "manifest.json").read_text())["T"] == 300
+
+
+def test_generate_config_out_of_the_wrong_type_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "linear", "n": 3, "T": 300, "out": 5}))
+    assert run("generate", "--config", config) == 2
+    assert "'out'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # discover
 # ---------------------------------------------------------------------------
@@ -149,6 +172,26 @@ def test_discover_config_value_of_the_wrong_type_exits_2(dataset_dir, tmp_path, 
     assert run("discover", dataset_dir / "series_000.csv", "--config", config, "--vcdf", "--out", out) == 2
     assert "'k'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, k", [(True, 5), ({}, 5), ({"k": 4}, 4), (False, None)])
+def test_discover_config_vcdf_key_switches_the_filter(value, k, dataset_dir, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"vcdf": value}))
+    out = tmp_path / "run"
+    assert run("discover", dataset_dir / "series_000.csv", "--config", config, "--out", out) == 0
+    meta = json.loads((out / "series_000.meta.json").read_text())
+    assert (out / "series_000.stability.json").exists() == (k is not None)
+    assert (meta["vcdf"] and meta["vcdf"]["k"]) == k
+
+
+@pytest.mark.parametrize("key, value", [("vcdf", 1), ("out", 5)])
+def test_discover_config_vcdf_or_out_of_the_wrong_type_exits_2(key, value, dataset_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "nothing"), key: value}))
+    assert run("discover", dataset_dir / "series_000.csv", "--config", config) == 2
+    assert f"{key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "nothing").exists()
 
 
 def test_discover_computation_failure_exits_3(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Recovery oracles for the VAR fit, the instantaneous ordering, and both discoverers."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from vcdf import (
     simulate,
     varlingam_discover,
 )
+from vcdf.discovery import _GAMMA, _K1, _K2, _entropy, _select_exogenous
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -160,6 +164,67 @@ def test_ordering_rejects_bad_residual_matrices():
     constant = np.column_stack([np.ones(100), np.arange(100.0)])
     with pytest.raises(ValueError, match="degenerate"):
         direct_lingam_order(constant)
+    x, y = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 100))
+    with pytest.raises(ValueError, match="degenerate"):
+        direct_lingam_order(np.column_stack([x, 2 * x, y]))
+
+
+def _pairwise_select(work, active):
+    """Reference: the pairwise loop of scalar entropy proxies that the vectorized ordering replaced."""
+    def entropy(u):
+        return ((1.0 + math.log(2.0 * math.pi)) / 2.0
+                - _K1 * (np.mean(np.log(np.cosh(u))) - _GAMMA) ** 2
+                - _K2 * np.mean(u * np.exp(-(u**2) / 2.0)) ** 2)
+
+    def standardized(column):
+        return (column - column.mean()) / column.std()
+
+    x = {i: standardized(work[:, i]) for i in active}
+    scores = []
+    for i in active:
+        score = 0.0
+        for j in active:
+            if j != i:
+                corr = np.mean(x[i] * x[j])
+                diff = (entropy(x[j]) + entropy(standardized(x[i] - corr * x[j]))) - (
+                    entropy(x[i]) + entropy(standardized(x[j] - corr * x[i])))
+                score += min(0.0, diff) ** 2
+        scores.append(score)
+    return active[int(np.argmin(scores))]
+
+
+@pytest.mark.parametrize("m, T", [(2, 200), (4, 500), (7, 1000)])
+def test_select_exogenous_matches_the_pairwise_loop(m, T):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        e = rng.laplace(size=(T, m + 1)) ** 3
+        work = e @ np.triu(rng.uniform(-1.0, 1.0, size=(m + 1, m + 1)))
+        active = sorted(rng.choice(m + 1, size=m, replace=False).tolist())
+        assert _select_exogenous(work, active) == _pairwise_select(work, active)
+
+
+def test_entropy_proxy_is_finite_far_in_the_tails():
+    u = np.array([800.0, -800.0, 0.0, 1.0])
+    log_cosh = [800.0 - math.log(2.0), 800.0 - math.log(2.0), 0.0, math.log(math.cosh(1.0))]
+    gauss = [0.0, 0.0, 0.0, math.exp(-0.5)]
+    closed_form = ((1.0 + math.log(2.0 * math.pi)) / 2.0
+                   - _K1 * (np.mean(log_cosh) - _GAMMA) ** 2
+                   - _K2 * np.mean(gauss) ** 2)
+    for sample in (u, u[::-1].reshape(1, -1)):
+        value = _entropy(sample)
+        assert np.isfinite(value).all()
+        assert np.allclose(value, closed_form, rtol=1e-12, atol=0.0)
+
+
+def test_ordering_of_a_long_sample_with_an_outlier_raises_no_warning():
+    # Standardized, the outlier sits near u = 756, where cosh(u) overflows.
+    e = np.random.default_rng(0).random((600_000, 2))
+    e[0, 0] = 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order, b0 = direct_lingam_order(e)
+    assert sorted(order) == [0, 1]
+    assert np.isfinite(b0).all()
 
 
 # ---------------------------------------------------------------------------
