@@ -13,15 +13,18 @@ The bench table golden is rendered from the golden report with fixed stand-in
 timings, so its paired delta and time-ratio columns are pinned too.
 ``orders.json`` holds the DirectLiNGAM causal orders of `lingam_orders` below,
 so a change to the ordering code must reproduce every order exactly.
+``simulate.json`` holds the sha256 of the simulated values of `simulate_digests`
+below, so a change to the simulator must reproduce every setting bit for bit.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from vcdf import SETTINGS, benchmark_suite, direct_lingam_order, fit_var
+from vcdf import SETTINGS, benchmark_suite, direct_lingam_order, fit_var, random_scm, simulate
 from vcdf.cli import main, render_bench_table
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,3 +102,26 @@ def lingam_orders() -> dict:
 def test_direct_lingam_orders_match_golden():
     golden = json.loads((GOLDEN / "orders.json").read_text(encoding="utf-8"))
     assert lingam_orders() == golden
+
+
+SIMULATE_SHAPES = ((5, 300), (8, 1000), (15, 4000))
+
+
+def simulate_digests() -> dict:
+    """sha256 of ``simulate(random_scm(n, 3, 0.15, setting, seed), T)`` values, keyed by case.
+
+    Seeds 0 and 1 at the default burn-in, plus one run with no burn-in, whose
+    first rows are the steps where some lag terms reach before t = 0.
+    """
+    cases = {}
+    for setting in SETTINGS:
+        for n, T in SIMULATE_SHAPES:
+            for seed in (0, 1):
+                cases[f"{setting} n={n} T={T} seed={seed}"] = simulate(random_scm(n, 3, 0.15, setting, seed), T)
+        cases[f"{setting} n=5 T=300 seed=0 burn_in=0"] = simulate(random_scm(5, 3, 0.15, setting, 0), 300, 0)
+    return {key: hashlib.sha256(ds.series.values.tobytes()).hexdigest() for key, ds in cases.items()}
+
+
+def test_simulate_matches_golden():
+    golden = json.loads((GOLDEN / "simulate.json").read_text(encoding="utf-8"))
+    assert simulate_digests() == golden
