@@ -197,6 +197,8 @@ def cmd_generate(args) -> int:
 def cmd_discover(args) -> int:
     config = _load_config_file(args.config, {"method", "vcdf", "discoverer", "out"}) if args.config else {}
     method = _resolve(args.method, config, "method", "varlingam")
+    if not isinstance(method, str):
+        raise UsageError(f"config key 'method' must be a string, got {method!r}")
     if method not in DISCOVERERS:
         raise UsageError(f"unknown method {method!r}, expected one of {', '.join(sorted(DISCOVERERS))}")
     disc_config = _discoverer_config(args, config)

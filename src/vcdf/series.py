@@ -182,8 +182,17 @@ def instantaneous_order(n: int, edges: Iterable[Edge]) -> list[int]:
 # CSV series format: UTF-8, comma separated, mandatory header, '.' decimals.
 # ---------------------------------------------------------------------------
 
+# Body rows converted per numpy call: keeps the reader's transient field
+# strings to a few hundred rows' worth, whatever the file's length.
+_CHUNK_ROWS = 256
+
+
 def read_series_csv(path: str | Path) -> MultivariateSeries:
-    """Parse a series CSV, reporting the offending row/column on bad input."""
+    """Parse a series CSV, reporting the offending row/column on bad input.
+
+    Cells take exactly Python ``float()`` syntax; the first bad cell in
+    row-major order is the one reported.
+    """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or not lines[0]:
@@ -195,11 +204,33 @@ def read_series_csv(path: str | Path) -> MultivariateSeries:
     if len(set(names)) != len(names):
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise ValueError(f"{path}: duplicate header names: {', '.join(dupes)}")
+    n = len(names)
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no data rows after header")
+    values = np.empty((len(lines) - 1, n))
+    for start in range(0, len(lines) - 1, _CHUNK_ROWS):
+        part = lines[1 + start : 1 + start + _CHUNK_ROWS]
+        block = values[start : start + len(part)]
+        # A chunk numpy cannot take whole goes field by field, which names its first bad cell.
+        if all(line.count(",") == n - 1 for line in part):
+            try:
+                block[:] = np.array(",".join(part).split(","), dtype=float).reshape(block.shape)
+            except ValueError:
+                pass
+            else:
+                if np.isfinite(block).all():
+                    continue
+        block[:] = _parse_rows(path, part, start + 1, n)
+    return MultivariateSeries(values, tuple(names))
+
+
+def _parse_rows(path: str | Path, lines: list[str], first_row: int, n: int) -> list[list[float]]:
+    """Field-by-field parse of body rows numbered from `first_row`; raises at the first bad cell."""
     rows: list[list[float]] = []
-    for r, line in enumerate(lines[1:], start=1):
+    for r, line in enumerate(lines, start=first_row):
         fields = line.split(",")
-        if len(fields) != len(names):
-            raise ValueError(f"{path}: row {r}: expected {len(names)} fields, found {len(fields)}")
+        if len(fields) != n:
+            raise ValueError(f"{path}: row {r}: expected {n} fields, found {len(fields)}")
         parsed = []
         for c, field in enumerate(fields, start=1):
             try:
@@ -210,9 +241,7 @@ def read_series_csv(path: str | Path) -> MultivariateSeries:
                 raise ValueError(f"{path}: row {r}, column {c}: non-finite value {field!r}")
             parsed.append(value)
         rows.append(parsed)
-    if not rows:
-        raise ValueError(f"{path}: no data rows after header")
-    return MultivariateSeries(np.array(rows, dtype=float), tuple(names))
+    return rows
 
 
 def write_series_csv(series: MultivariateSeries, path: str | Path) -> None:

@@ -17,6 +17,7 @@ trended   uniform    identity      drawn from +-[0.001, 0.01]
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,28 +245,38 @@ def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDa
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
     total = burn_in + T
     noise = _draw_noise(rng, spec.noise, (total, spec.n))
-    order = instantaneous_order(spec.n, spec.inst_edges)
     lag_parents: dict[int, list[tuple[int, int, float]]] = {}
     for edge in spec.lag_edges:
         lag_parents.setdefault(edge.effect, []).append((edge.cause, edge.lag, edge.weight))
     inst_parents: dict[int, list[tuple[int, float]]] = {}
     for edge in spec.inst_edges:
         inst_parents.setdefault(edge.effect, []).append((edge.cause, edge.weight))
+    plan = [
+        (j, lag_parents.get(j, ()), inst_parents.get(j, ()))
+        for j in instantaneous_order(spec.n, spec.inst_edges)
+    ]
 
+    # Steps run on Python floats, which round exactly as float64 scalars do;
+    # `history[-lag]` is row t - lag once t >= lag.
     squash = math.tanh if spec.link == "tanh" else None
-    x = np.zeros((total, spec.n))
+    x = np.empty((total, spec.n))
+    history: deque[list[float]] = deque(maxlen=spec.max_lag)
     for t in range(total):
         drift = spec.trend_slope * t
-        for j in order:
+        eps = noise[t].tolist()
+        row = [0.0] * spec.n
+        for j, lagged, inst in plan:
             acc = 0.0
-            for cause, lag, weight in lag_parents.get(j, ()):
+            for cause, lag, weight in lagged:
                 if t >= lag:
-                    acc += weight * x[t - lag, cause]
-            for cause, weight in inst_parents.get(j, ()):
-                acc += weight * x[t, cause]
+                    acc += weight * history[-lag][cause]
+            for cause, weight in inst:
+                acc += weight * row[cause]
             if squash is not None:
                 acc = squash(acc)
-            x[t, j] = acc + drift + noise[t, j]
+            row[j] = acc + drift + eps[j]
+        x[t] = row
+        history.append(row)
     out = x[burn_in:]
     if not np.isfinite(out).all():
         raise ValueError("simulation overflowed to non-finite values")

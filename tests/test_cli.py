@@ -167,11 +167,12 @@ def test_discover_malformed_csv_exits_2_without_outputs(tmp_path, capsys):
 
 def test_discover_config_value_of_the_wrong_type_exits_2(dataset_dir, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"vcdf": {"k": [5]}}))
     out = tmp_path / "nothing"
-    assert run("discover", dataset_dir / "series_000.csv", "--config", config, "--vcdf", "--out", out) == 2
-    assert "'k'" in capsys.readouterr().err
-    assert not out.exists()
+    for doc, key in (({"vcdf": {"k": [5]}}, "k"), ({"method": []}, "method")):
+        config.write_text(json.dumps(doc))
+        assert run("discover", dataset_dir / "series_000.csv", "--config", config, "--vcdf", "--out", out) == 2
+        assert f"{key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value, k", [(True, 5), ({}, 5), ({"k": 4}, 4), (False, None)])

@@ -1,10 +1,13 @@
 """Container validation, CSV parsing with error locations, and graph JSON stability."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcdf import series as series_module
 from vcdf import (
     Edge,
     MultivariateSeries,
@@ -205,6 +208,10 @@ def test_write_rejects_unsafe_names(tmp_path):
         ("a,b\n1,x\n", "row 1, column 2: not a number"),
         ("a,b\n1,inf\n", "row 1, column 2: non-finite"),
         ("a,b\n", "no data rows"),
+        ("a,b\n1,2\n1,inf\n1,2\n1,2\n1,x\n", "row 2, column 2: non-finite"),
+        ("a,b\n1,2\n1,x\n3\n", "row 2, column 2: not a number"),
+        ("a,b\n" + "1,2\n" * 999 + "1,x\n", "row 1000, column 2: not a number"),
+        ("a,b\n1,2\n\n", "row 2: expected 2 fields, found 1"),
     ],
 )
 def test_read_series_csv_reports_locations(tmp_path, text, fragment):
@@ -212,6 +219,119 @@ def test_read_series_csv_reports_locations(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(ValueError, match=fragment):
         read_series_csv(path)
+
+
+def reference_read_series_csv(path):
+    """The reader's original cell-by-cell loop: the oracle for its chunked numpy passes."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines or not lines[0]:
+        raise ValueError(f"{path}: missing header row")
+    names = lines[0].split(",")
+    for col, name in enumerate(names, start=1):
+        if not name:
+            raise ValueError(f"{path}: header column {col} is empty")
+    if len(set(names)) != len(names):
+        dupes = sorted({x for x in names if names.count(x) > 1})
+        raise ValueError(f"{path}: duplicate header names: {', '.join(dupes)}")
+    rows = []
+    for r, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        if len(fields) != len(names):
+            raise ValueError(f"{path}: row {r}: expected {len(names)} fields, found {len(fields)}")
+        parsed = []
+        for c, field in enumerate(fields, start=1):
+            try:
+                value = float(field)
+            except ValueError:
+                raise ValueError(f"{path}: row {r}, column {c}: not a number: {field!r}") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path}: row {r}, column {c}: non-finite value {field!r}")
+            parsed.append(value)
+        rows.append(parsed)
+    if not rows:
+        raise ValueError(f"{path}: no data rows after header")
+    return MultivariateSeries(np.array(rows, dtype=float), tuple(names))
+
+
+def read_outcome(reader, path):
+    """What a reader makes of a file: the names and value bits, or the error message."""
+    try:
+        series = reader(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", series.names, series.values.shape, series.values.tobytes())
+
+
+def assert_reads_like_reference(path):
+    assert read_outcome(read_series_csv, path) == read_outcome(reference_read_series_csv, path)
+
+
+_TRICKY_CELLS = [
+    "1_000", " 1.5", "\t2\t", "-0", "+0.0", "1e-400", "1e400", "-1e309", "inf", "-Infinity",
+    "nan", "NaN", "", " ", "x", "1,5", "0x10", "1__0", "_1", "1_", ".5", "5.", ".", "e5",
+    "1e", "\u0663\u0664", "\uff11", "1.0\u00a0", "4.9e-324", "1.7976931348623157e308",
+    "2.2250738585072011e-308", "0.1000000000000000055511151231257827", "1" * 400,
+]
+
+csv_cells = st.one_of(
+    finite_floats.map(repr),
+    st.sampled_from(_TRICKY_CELLS),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@st.composite
+def csv_text_st(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    header = ",".join(f"v{i}" for i in range(n))
+    rows = draw(st.lists(st.lists(csv_cells, min_size=n, max_size=n), max_size=9))
+    lines = [header] + [",".join(row) for row in rows]
+    if lines[1:]:
+        # Rows that lost or gained a field, anywhere in the body; a short row
+        # and a long one can leave the chunk's field count right.
+        for i in draw(st.lists(st.integers(min_value=1, max_value=len(lines) - 1), max_size=2)):
+            lines[i] = draw(st.sampled_from([lines[i] + ",1", lines[i].rpartition(",")[0]]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending, ending * 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_text_st(), chunk_rows=st.integers(min_value=1, max_value=4))
+def test_read_series_csv_matches_the_cell_by_cell_reference(tmp_path_factory, text, chunk_rows):
+    path = tmp_path_factory.mktemp("csv") / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    # Small chunks, so that good and bad rows fall on both sides of chunk seams.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_module, "_CHUNK_ROWS", chunk_rows)
+        assert_reads_like_reference(path)
+    assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n" + "0.1,-2.5e-3\n" * 600 + "1,2\n",
+        "a,b\n" + "0.1,-2.5e-3\n" * 600 + "1,inf\n1,x\n",
+        "a,b\n1,2\n1,inf\n" + "0.1,-2.5e-3\n" * 600 + "1,x\n",
+        "a,b\n" + "0.1,-2.5e-3\n" * 255 + "1,2\n1,\n",
+        "a\n1\n\n2\n",
+        "a,b\n1,2,3\n4\n",
+    ],
+)
+def test_read_series_csv_matches_the_reference_on_fixed_inputs(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_like_reference(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+def test_read_series_csv_keeps_float_syntax_and_bits(tmp_path, ending):
+    path = tmp_path / "series.csv"
+    path.write_bytes(ending.join(["a,b", "1_000, 1.5", "-0,1e-400", ""]).encode("utf-8"))
+    assert_reads_like_reference(path)
+    values = read_series_csv(path).values
+    assert values.tobytes() == np.array([[1000.0, 1.5], [-0.0, 0.0]]).tobytes()
 
 
 # ---------------------------------------------------------------------------
