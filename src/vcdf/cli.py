@@ -14,7 +14,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from collections import namedtuple
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .consensus import VcdfConfig, run_vcdf, stability_report_to_json
@@ -39,9 +40,17 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
-BENCH_PRESETS = ("characteristics", "lengths", "runtime")
-
 PAPER_SCALE_N = 15
+
+
+# A bench grid crosses every setting, length and method of its row.
+BenchPreset = namedtuple("BenchPreset", "settings lengths methods realizations")
+_PAIRED_METHODS = ("varlingam", "vcdf-varlingam", "lagreg", "vcdf-lagreg")
+BENCH_PRESETS = {
+    "characteristics": BenchPreset(SETTINGS, (1000,), _PAIRED_METHODS, 10),
+    "lengths": BenchPreset(("trended",), (250, 1000, 2000), _PAIRED_METHODS, 10),
+    "runtime": BenchPreset(("linear",), (250, 500, 1000, 2000), ("varlingam", "vcdf-varlingam"), 5),
+}
 
 
 class UsageError(Exception):
@@ -62,54 +71,48 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
         raise UsageError(f"config file {path}: malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path}: top level must be an object")
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise UsageError(f"config file {path}: unknown keys: {', '.join(unknown)}")
+    _reject_unknown_keys(doc, allowed, f"config file {path}")
     return doc
 
 
-def _resolve(flag_value, config: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config and config[key] is not None:
-        return config[key]
-    return default
+def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise UsageError(f"{where}: unknown keys: {', '.join(unknown)}")
 
 
-def _resolve_number(kind: type, flag_value, config: dict, key: str, default):
-    """`_resolve` converted by `kind` (int or float); a config value it cannot convert is a usage error.
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
-    Booleans are not numbers here, and an integer key takes no fractional value.
+
+def _resolve(kind: type, flag_value, config: dict, key: str, default):
+    """The flag, else the config entry, else ``default`` (None: required), as a ``kind`` (int, float or str).
+
+    Booleans are not numbers, an integer takes no fraction, and only a string is a string.
     """
-    value = _resolve(flag_value, config, key, default)
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if not isinstance(value, bool) and not fractional:
+    value = flag_value if flag_value is not None else config.get(key)
+    if value is None:
+        if default is None:
+            raise UsageError(f"requires --{key} (or {key!r} in --config)")
+        return default
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif not isinstance(value, bool) and not (kind is int and isinstance(value, float) and not value.is_integer()):
         try:
             return kind(value)
         except (TypeError, ValueError):
             pass
-    expected = "an integer" if kind is int else "a number"
-    raise UsageError(f"config key {key!r} must be {expected}, got {value!r}")
+    raise UsageError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _resolve_out(args, config: dict, command: str) -> str:
-    out = _resolve(args.out, config, "out", None)
-    if out is None:
-        raise UsageError(f"{command} requires --out (or 'out' in --config)")
-    if not isinstance(out, str):
-        raise UsageError(f"config key 'out' must be a string, got {out!r}")
-    return out
-
-
-def _discoverer_config(args, config: dict) -> DiscovererConfig:
-    sub = config.get("discoverer", {})
+def _section(cls, args, sub, key: str):
+    """A ``cls`` whose every field is its flag, else its entry in config section ``key``, else its default."""
     if not isinstance(sub, dict):
-        raise UsageError("config key 'discoverer' must be an object")
-    max_lag = _resolve_number(int, args.max_lag, sub, "max_lag", DEFAULT_MAX_LAG)
-    prune = _resolve_number(float, args.prune, sub, "prune_threshold", 0.05)
-    alpha = _resolve_number(float, args.alpha, sub, "alpha", 0.01)
+        raise UsageError(f"config key {key!r} must be an object")
+    _reject_unknown_keys(sub, [f.name for f in fields(cls)], f"config key {key!r}")
+    values = {f.name: _resolve(type(f.default), getattr(args, f.name), sub, f.name, f.default) for f in fields(cls)}
     try:
-        return DiscovererConfig(max_lag=max_lag, prune_threshold=prune, alpha=alpha)
+        return cls(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -117,25 +120,9 @@ def _discoverer_config(args, config: dict) -> DiscovererConfig:
 def _vcdf_section(config: dict) -> dict | None:
     """The config's 'vcdf' thresholds: true or an object turns the filter on, false or null leaves it off."""
     sub = config.get("vcdf")
-    if sub is None or sub is False:
-        return None
-    if sub is True:
-        return {}
-    if not isinstance(sub, dict):
+    if not (sub is None or isinstance(sub, (bool, dict))):
         raise UsageError(f"config key 'vcdf' must be true, false or an object, got {sub!r}")
-    return sub
-
-
-def _vcdf_config(args, sub: dict) -> VcdfConfig:
-    k = _resolve_number(int, args.k, sub, "k", 5)
-    tau_c = _resolve_number(float, args.tau_c, sub, "tau_c", 0.4)
-    tau_v = _resolve_number(float, args.tau_v, sub, "tau_v", 0.4)
-    w = _resolve_number(float, args.w, sub, "w", 0.0)
-    epsilon = _resolve_number(float, args.epsilon, sub, "epsilon", 1e-8)
-    try:
-        return VcdfConfig(k=k, tau_c=tau_c, tau_v=tau_v, w=w, epsilon=epsilon)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return {} if sub is True else None if sub is False else sub
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +132,17 @@ def _vcdf_config(args, sub: dict) -> VcdfConfig:
 def cmd_generate(args) -> int:
     config = _load_config_file(args.config, {"setting", "n", "T", "realizations", "seed", "out",
                                              "max_lag", "density", "burn_in"}) if args.config else {}
-    setting = _resolve(args.setting, config, "setting", None)
-    if setting is None:
-        raise UsageError("generate requires --setting (or 'setting' in --config)")
+    setting = _resolve(str, args.setting, config, "setting", None)
     if setting not in SETTINGS:
         raise UsageError(f"unknown setting {setting!r}, expected one of {', '.join(SETTINGS)}")
-    n = _resolve_number(int, args.n, config, "n", PAPER_SCALE_N)
-    T = _resolve_number(int, args.T, config, "T", 1000)
-    realizations = _resolve_number(int, args.realizations, config, "realizations", 10)
-    seed = _resolve_number(int, args.seed, config, "seed", 0)
-    out = _resolve_out(args, config, "generate")
-    max_lag = _resolve_number(int, args.max_lag, config, "max_lag", DEFAULT_MAX_LAG)
-    density = _resolve_number(float, args.density, config, "density", DEFAULT_DENSITY)
-    burn_in = _resolve_number(int, args.burn_in, config, "burn_in", DEFAULT_BURN_IN)
+    n = _resolve(int, args.n, config, "n", PAPER_SCALE_N)
+    T = _resolve(int, args.T, config, "T", 1000)
+    realizations = _resolve(int, args.realizations, config, "realizations", 10)
+    seed = _resolve(int, args.seed, config, "seed", 0)
+    out = _resolve(str, args.out, config, "out", None)
+    max_lag = _resolve(int, args.max_lag, config, "max_lag", DEFAULT_MAX_LAG)
+    density = _resolve(float, args.density, config, "density", DEFAULT_DENSITY)
+    burn_in = _resolve(int, args.burn_in, config, "burn_in", DEFAULT_BURN_IN)
 
     task = f"generate:{setting}"
     suite_seed = derive_seed(seed, task)
@@ -196,16 +181,14 @@ def cmd_generate(args) -> int:
 
 def cmd_discover(args) -> int:
     config = _load_config_file(args.config, {"method", "vcdf", "discoverer", "out"}) if args.config else {}
-    method = _resolve(args.method, config, "method", "varlingam")
-    if not isinstance(method, str):
-        raise UsageError(f"config key 'method' must be a string, got {method!r}")
+    method = _resolve(str, args.method, config, "method", "varlingam")
     if method not in DISCOVERERS:
         raise UsageError(f"unknown method {method!r}, expected one of {', '.join(sorted(DISCOVERERS))}")
-    disc_config = _discoverer_config(args, config)
+    disc_config = _section(DiscovererConfig, args, config.get("discoverer", {}), "discoverer")
     vcdf_sub = _vcdf_section(config)
     use_vcdf = args.vcdf or vcdf_sub is not None
-    vcdf_config = _vcdf_config(args, vcdf_sub or {}) if use_vcdf else None
-    out = _resolve_out(args, config, "discover")
+    vcdf_config = _section(VcdfConfig, args, vcdf_sub or {}, "vcdf") if use_vcdf else None
+    out = _resolve(str, args.out, config, "out", None)
 
     # Load and validate every input before producing any output file.
     try:
@@ -311,19 +294,9 @@ def cmd_evaluate(args) -> int:
 
 def _bench_grid(preset: str, setting_override: str | None) -> list[tuple[str, int, str]]:
     """(setting, T, method) cells; datasets are shared between methods of a cell."""
-    if preset == "characteristics":
-        settings = [setting_override] if setting_override else list(SETTINGS)
-        return [(s, 1000, m) for s in settings
-                for m in ("varlingam", "vcdf-varlingam", "lagreg", "vcdf-lagreg")]
-    if preset == "lengths":
-        setting = setting_override or "trended"
-        return [(setting, T, m) for T in (250, 1000, 2000)
-                for m in ("varlingam", "vcdf-varlingam", "lagreg", "vcdf-lagreg")]
-    if preset == "runtime":
-        setting = setting_override or "linear"
-        return [(setting, T, m) for T in (250, 500, 1000, 2000)
-                for m in ("varlingam", "vcdf-varlingam")]
-    raise UsageError(f"unknown preset {preset!r}, expected one of {', '.join(BENCH_PRESETS)}")
+    p = BENCH_PRESETS[preset]
+    settings = (setting_override,) if setting_override else p.settings
+    return [(s, T, m) for s in settings for T in p.lengths for m in p.methods]
 
 
 def _split_method(method: str) -> tuple[str, bool]:
@@ -337,9 +310,9 @@ def cmd_bench(args) -> int:
     if n != PAPER_SCALE_N:
         print(f"warning: running with n={n} instead of the reference scale n={PAPER_SCALE_N}; "
               f"absolute levels will not be comparable", file=sys.stderr)
-    realizations = args.realizations if args.realizations is not None else (5 if args.preset == "runtime" else 10)
-    disc_config = _discoverer_config(args, {})
-    vcdf_config = _vcdf_config(args, {})
+    realizations = args.realizations if args.realizations is not None else BENCH_PRESETS[args.preset].realizations
+    disc_config = _section(DiscovererConfig, args, {}, "discoverer")
+    vcdf_config = _section(VcdfConfig, args, {}, "vcdf")
     grid = _bench_grid(args.preset, args.setting)
 
     suites: dict[tuple[str, int], list] = {}
@@ -367,7 +340,7 @@ def cmd_bench(args) -> int:
             summary_stats = aggregate(summary_results)
             rows.append({
                 "setting": setting, "T": T, "method": method,
-                "window": _stats_doc(window_stats), "summary": _stats_doc(summary_stats),
+                "window": asdict(window_stats), "summary": asdict(summary_stats),
                 "seconds_mean": sum(seconds) / len(seconds),
                 "suite_seed": suite_seed,
             })
@@ -390,15 +363,6 @@ def cmd_bench(args) -> int:
         (out_dir / "table.txt").write_text(table, encoding="utf-8")
         print(f"wrote report.json, table.txt to {out_dir}")
     return EXIT_OK
-
-
-def _stats_doc(stats) -> dict:
-    return {
-        "precision_mean": stats.precision_mean, "precision_std": stats.precision_std,
-        "recall_mean": stats.recall_mean, "recall_std": stats.recall_std,
-        "f1_mean": stats.f1_mean, "f1_std": stats.f1_std,
-        "count": stats.count,
-    }
 
 
 def render_bench_table(report: dict) -> str:
@@ -444,16 +408,19 @@ def render_bench_table(report: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     # Flags shared between subcommands, each declared once: --max-lag by all
     # three, the method and filter knobs by discover and bench.
+    # Each flag's dest is the config field it sets, and its help shows that field's default.
+    d, v = DiscovererConfig, VcdfConfig
     lag_flag = argparse.ArgumentParser(add_help=False)
-    lag_flag.add_argument("--max-lag", type=int, dest="max_lag", help="largest lag (default 3)")
+    lag_flag.add_argument("--max-lag", type=int, dest="max_lag", help=f"largest lag (default {d.max_lag})")
     method_flags = argparse.ArgumentParser(add_help=False)
-    method_flags.add_argument("--prune", type=float, help="absolute weight threshold (default 0.05)")
-    method_flags.add_argument("--alpha", type=float, help="lagreg significance level (default 0.01)")
-    method_flags.add_argument("--k", type=int, help="fold count (default 5)")
-    method_flags.add_argument("--tau-c", type=float, dest="tau_c", help="consistency threshold (default 0.4)")
-    method_flags.add_argument("--tau-v", type=float, dest="tau_v", help="variability threshold (default 0.4)")
-    method_flags.add_argument("--w", type=float, help="fold-mean refinement weight (default 0)")
-    method_flags.add_argument("--epsilon", type=float, help="variability regularizer (default 1e-8)")
+    method_flags.add_argument("--prune", type=float, dest="prune_threshold", metavar="PRUNE",
+                              help=f"absolute weight threshold (default {d.prune_threshold})")
+    method_flags.add_argument("--alpha", type=float, help=f"lagreg significance level (default {d.alpha})")
+    method_flags.add_argument("--k", type=int, help=f"fold count (default {v.k})")
+    method_flags.add_argument("--tau-c", type=float, dest="tau_c", help=f"consistency threshold (default {v.tau_c})")
+    method_flags.add_argument("--tau-v", type=float, dest="tau_v", help=f"variability threshold (default {v.tau_v})")
+    method_flags.add_argument("--w", type=float, help=f"fold-mean refinement weight (default {v.w})")
+    method_flags.add_argument("--epsilon", type=float, help=f"variability regularizer (default {v.epsilon})")
 
     parser = argparse.ArgumentParser(
         prog="vcdf",
@@ -495,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     ben.add_argument("--out", help="directory for report.json and table.txt")
     ben.add_argument("--n", type=int, help="variables per system (warns when not 15)")
-    ben.add_argument("--realizations", type=int, help="datasets per cell (default 10; runtime preset 5)")
+    ben.add_argument("--realizations", type=int, help="datasets per cell (default: " + ", ".join(
+        f"{name} {p.realizations}" for name, p in BENCH_PRESETS.items()) + ")")
     ben.add_argument("--setting", choices=SETTINGS, help="override the preset's setting")
     ben.set_defaults(handler=cmd_bench)
     return parser

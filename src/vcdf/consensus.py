@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discovery import BaseDiscoverer
-from .series import Edge, MultivariateSeries, WindowGraph
+from .series import Edge, MultivariateSeries, WindowGraph, require_integer
 
 SIGN_TOLERANCE = 1e-12
 
@@ -39,6 +39,7 @@ class VcdfConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
+        require_integer("k", self.k)
         if self.k < 2:
             raise ValueError(f"need k >= 2 folds, got {self.k}")
         if math.isnan(self.tau_c) or not 0.0 <= self.tau_c <= 1.0:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import Edge, MultivariateSeries, WindowGraph
+from .series import Edge, MultivariateSeries, WindowGraph, require_integer
 
 # Constants of the maximum-entropy approximation used by the pairwise
 # non-Gaussianity contrast (log-cosh and Gaussian-moment terms).
@@ -43,6 +43,7 @@ class DiscovererConfig:
     alpha: float = 0.01
 
     def __post_init__(self) -> None:
+        require_integer("max_lag", self.max_lag)
         if self.max_lag < 1:
             raise ValueError(f"max_lag must be >= 1, got {self.max_lag}")
         if not np.isfinite(self.prune_threshold) or self.prune_threshold < 0:
@@ -202,26 +203,20 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
     return order, b0
 
 
+def _window_graph(weights: np.ndarray, keep: np.ndarray, first_lag: int) -> WindowGraph:
+    """The graph of the entries of ``weights[lag - first_lag, effect, cause]`` where ``keep`` holds."""
+    lag, effect, cause = np.nonzero(keep)
+    edges = frozenset(map(Edge, cause, effect, lag + first_lag, weights[keep]))
+    return WindowGraph(weights.shape[1], first_lag + len(weights) - 1, edges)
+
+
 def varlingam_discover(series: MultivariateSeries, config: DiscovererConfig) -> WindowGraph:
     """Ordered-residual discovery: lag fit, residual ordering, structural rewrite."""
     fit = fit_var(series, config.max_lag)
     _, b0 = direct_lingam_order(fit.residuals)
-    n = series.n_vars
-    structural = (np.eye(n) - b0) @ fit.coefs
-    edges = []
-    for j in range(n):
-        for i in range(n):
-            weight = b0[j, i]
-            if weight != 0.0 and abs(weight) >= config.prune_threshold:
-                edges.append(Edge(i, j, 0, float(weight)))
-    for lag in range(1, config.max_lag + 1):
-        B = structural[lag - 1]
-        for j in range(n):
-            for i in range(n):
-                weight = B[j, i]
-                if weight != 0.0 and abs(weight) >= config.prune_threshold:
-                    edges.append(Edge(i, j, lag, float(weight)))
-    return WindowGraph(n, config.max_lag, frozenset(edges))
+    structural = (np.eye(series.n_vars) - b0) @ fit.coefs
+    weights = np.concatenate([b0[None], structural])
+    return _window_graph(weights, (weights != 0.0) & (np.abs(weights) >= config.prune_threshold), 0)
 
 
 def lagreg_discover(series: MultivariateSeries, config: DiscovererConfig) -> WindowGraph:
@@ -239,18 +234,13 @@ def lagreg_discover(series: MultivariateSeries, config: DiscovererConfig) -> Win
         return WindowGraph(n, p, frozenset())
     critical = NormalDist().inv_cdf(1.0 - config.alpha / 2.0)
 
-    edges = []
-    for lag in range(1, p + 1):
-        for i in range(n):
-            row = 1 + (lag - 1) * n + i
-            for j in range(n):
-                coef = float(beta[row, j])
-                if coef == 0.0 or abs(coef) < config.prune_threshold:
-                    continue
-                se = math.sqrt(sigma2[j] * unit_variance[row])
-                if se > 0.0 and abs(coef) / se > critical:
-                    edges.append(Edge(i, j, lag, coef))
-    return WindowGraph(n, p, frozenset(edges))
+    # [lag - 1, effect, cause] views of the coefficients and their standard errors
+    coefs = beta[1:].reshape(p, n, n).transpose(0, 2, 1)
+    se = np.sqrt(sigma2[None, :, None] * unit_variance[1:].reshape(p, 1, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        significant = (se > 0.0) & (np.abs(coefs) / se > critical)
+    keep = (coefs != 0.0) & (np.abs(coefs) >= config.prune_threshold) & significant
+    return _window_graph(coefs, keep, 1)
 
 
 class BaseDiscoverer(ABC):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,6 +12,16 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 _NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+")
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; NumPy ints pass, booleans do not."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Edge(NamedTuple):

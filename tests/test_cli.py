@@ -1,11 +1,12 @@
 """End-to-end harness behavior: files written, exit codes, determinism, presets."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from vcdf import read_graph_json, read_series_csv
+from vcdf import DiscovererConfig, VcdfConfig, read_graph_json, read_series_csv
 from vcdf.cli import derive_seed, main, render_bench_table
 
 
@@ -168,10 +169,12 @@ def test_discover_malformed_csv_exits_2_without_outputs(tmp_path, capsys):
 def test_discover_config_value_of_the_wrong_type_exits_2(dataset_dir, tmp_path, capsys):
     config = tmp_path / "config.json"
     out = tmp_path / "nothing"
-    for doc, key in (({"vcdf": {"k": [5]}}, "k"), ({"method": []}, "method")):
+    for doc, fragment in (({"vcdf": {"k": [5]}}, "'k'"), ({"method": []}, "'method'"),
+                          ({"discoverer": {"prune": 0.3}}, "'discoverer': unknown keys: prune"),
+                          ({"vcdf": {"tau": 0.9}}, "'vcdf': unknown keys: tau")):
         config.write_text(json.dumps(doc))
         assert run("discover", dataset_dir / "series_000.csv", "--config", config, "--vcdf", "--out", out) == 2
-        assert f"{key!r}" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -306,6 +309,23 @@ def test_bench_unknown_preset_exits_2():
     with pytest.raises(SystemExit) as info:
         run("bench", "weekly")
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# help
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["generate", "discover", "evaluate", "bench"])
+def test_help_exits_0_and_shows_the_config_defaults(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        run(command, "--help")
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    if command in ("discover", "bench"):
+        for cls in (DiscovererConfig, VcdfConfig):
+            for field in fields(cls):
+                assert f"(default {field.default})" in text, field.name
+        assert "[--prune PRUNE]" in text
 
 
 def test_no_subcommand_exits_2():

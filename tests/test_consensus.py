@@ -71,10 +71,17 @@ def _series(seed, T=150, n=3):
     ({"tau_v": float("nan")}, "tau_v"),
     ({"w": 2.0}, "w"),
     ({"epsilon": 0.0}, "epsilon"),
+    ({"k": 5.0}, "k must be an integer"),
+    ({"k": True}, "k must be an integer"),
+    ({"k": np.array(5.0)}, "k must be an integer"),
 ])
 def test_config_bounds(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         VcdfConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    assert VcdfConfig(k=np.int32(4)).k == 4
 
 
 def test_config_allows_infinite_tau_v():

@@ -2,15 +2,19 @@
 
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from vcdf import (
+    SETTINGS,
     DiscovererConfig,
     Edge,
     MultivariateSeries,
     ScmSpec,
+    WindowGraph,
+    benchmark_suite,
     direct_lingam_order,
     fit_var,
     graph_to_json,
@@ -19,7 +23,7 @@ from vcdf import (
     simulate,
     varlingam_discover,
 )
-from vcdf.discovery import _GAMMA, _K1, _K2, _entropy, _select_exogenous
+from vcdf.discovery import _GAMMA, _K1, _K2, _entropy, _lagged_ols, _select_exogenous
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -51,10 +55,18 @@ def _uniform(rng, size):
     ({"prune_threshold": -0.1}, "prune_threshold"),
     ({"prune_threshold": float("inf")}, "prune_threshold"),
     ({"alpha": 1.5}, "alpha"),
+    ({"max_lag": 2.0}, "max_lag must be an integer"),
+    ({"max_lag": True}, "max_lag must be an integer"),
+    ({"max_lag": np.True_}, "max_lag must be an integer"),
+    ({"max_lag": "2"}, "max_lag must be an integer"),
 ])
 def test_config_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         DiscovererConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    assert DiscovererConfig(max_lag=np.int64(2)).max_lag == 2
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +333,80 @@ def test_lagreg_is_deterministic():
     config = DiscovererConfig()
     assert graph_to_json(lagreg_discover(series, config)) == \
         graph_to_json(lagreg_discover(series, config))
+
+
+# ---------------------------------------------------------------------------
+# edge emission
+# ---------------------------------------------------------------------------
+
+def reference_varlingam_discover(series: MultivariateSeries, config: DiscovererConfig) -> WindowGraph:
+    """The original per-entry edge loops of varlingam_discover: the oracle for its numpy masks."""
+    fit = fit_var(series, config.max_lag)
+    _, b0 = direct_lingam_order(fit.residuals)
+    n = series.n_vars
+    structural = (np.eye(n) - b0) @ fit.coefs
+    edges = []
+    for j in range(n):
+        for i in range(n):
+            weight = b0[j, i]
+            if weight != 0.0 and abs(weight) >= config.prune_threshold:
+                edges.append(Edge(i, j, 0, float(weight)))
+    for lag in range(1, config.max_lag + 1):
+        B = structural[lag - 1]
+        for j in range(n):
+            for i in range(n):
+                weight = B[j, i]
+                if weight != 0.0 and abs(weight) >= config.prune_threshold:
+                    edges.append(Edge(i, j, lag, float(weight)))
+    return WindowGraph(n, config.max_lag, frozenset(edges))
+
+
+def reference_lagreg_discover(series: MultivariateSeries, config: DiscovererConfig) -> WindowGraph:
+    """The original per-entry edge loop of lagreg_discover: the oracle for its numpy masks."""
+    p = config.max_lag
+    n = series.n_vars
+    beta, residuals, R = _lagged_ols(series.values, p)
+    rows, q = residuals.shape[0], R.shape[0]
+    dof = rows - q
+    sigma2 = (residuals**2).sum(axis=0) / dof
+    r_inv = np.linalg.solve(R, np.eye(q))
+    unit_variance = (r_inv**2).sum(axis=1)
+
+    if config.alpha == 0.0:
+        return WindowGraph(n, p, frozenset())
+    critical = NormalDist().inv_cdf(1.0 - config.alpha / 2.0)
+
+    edges = []
+    for lag in range(1, p + 1):
+        for i in range(n):
+            row = 1 + (lag - 1) * n + i
+            for j in range(n):
+                coef = float(beta[row, j])
+                if coef == 0.0 or abs(coef) < config.prune_threshold:
+                    continue
+                se = math.sqrt(sigma2[j] * unit_variance[row])
+                if se > 0.0 and abs(coef) / se > critical:
+                    edges.append(Edge(i, j, lag, coef))
+    return WindowGraph(n, p, frozenset(edges))
+
+
+_ORACLE_CONFIGS = [
+    DiscovererConfig(),
+    DiscovererConfig(max_lag=1, prune_threshold=0.0, alpha=0.2),
+    DiscovererConfig(alpha=1.0),
+    DiscovererConfig(prune_threshold=0.1, alpha=0.0),
+]
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("n, T", [(4, 200), (8, 1000)])
+def test_edge_emission_matches_the_per_entry_loops(setting, n, T):
+    series = benchmark_suite(setting, n, T, 1, 3)[0].series
+    for config in _ORACLE_CONFIGS:
+        for discover, reference in ((varlingam_discover, reference_varlingam_discover),
+                                    (lagreg_discover, reference_lagreg_discover)):
+            expected = graph_to_json(reference(series, config))
+            assert graph_to_json(discover(series, config)) == expected, (discover.__name__, config)
 
 
 # ---------------------------------------------------------------------------
