@@ -52,6 +52,20 @@ BENCH_PRESETS = {
     "runtime": BenchPreset(("linear",), (250, 500, 1000, 2000), ("varlingam", "vcdf-varlingam"), 5),
 }
 
+# Each generate key, in flag order: its kind, its default (None: required) and its help.
+# Its flag is --<key> (max_lag's is the shared --max-lag), and the manifest echoes every key but out.
+GENERATE_KEYS = {
+    "setting": (str, None, "data-generating setting"),
+    "n": (int, PAPER_SCALE_N, "number of variables"),
+    "T": (int, 1000, "steps per series"),
+    "realizations": (int, 10, "independent systems"),
+    "seed": (int, 0, "master seed"),
+    "out": (str, None, "output directory"),
+    "density": (float, DEFAULT_DENSITY, "lagged edge density"),
+    "burn_in": (int, DEFAULT_BURN_IN, "discarded warm-up steps"),
+    "max_lag": (int, DEFAULT_MAX_LAG, None),
+}
+
 
 class UsageError(Exception):
     """Bad arguments, configs or unreadable/malformed inputs (exit code 2)."""
@@ -62,13 +76,24 @@ def derive_seed(master: int, task: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _load_config_file(path: str, allowed: set[str]) -> dict:
+def _read(reader, path, what: str):
+    """``reader(path)``, with a missing file or malformed content turned into a usage error."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return reader(path)
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
+        raise UsageError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: malformed JSON: {exc}") from None
+        raise UsageError(f"{what} file {path}: malformed JSON: {exc}") from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _dump(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _load_config_file(path: str, allowed) -> dict:
+    doc = _read(lambda p: json.loads(Path(p).read_text(encoding="utf-8")), path, "config")
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path}: top level must be an object")
     _reject_unknown_keys(doc, allowed, f"config file {path}")
@@ -130,30 +155,16 @@ def _vcdf_section(config: dict) -> dict | None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    config = _load_config_file(args.config, {"setting", "n", "T", "realizations", "seed", "out",
-                                             "max_lag", "density", "burn_in"}) if args.config else {}
-    setting = _resolve(str, args.setting, config, "setting", None)
-    if setting not in SETTINGS:
-        raise UsageError(f"unknown setting {setting!r}, expected one of {', '.join(SETTINGS)}")
-    n = _resolve(int, args.n, config, "n", PAPER_SCALE_N)
-    T = _resolve(int, args.T, config, "T", 1000)
-    realizations = _resolve(int, args.realizations, config, "realizations", 10)
-    seed = _resolve(int, args.seed, config, "seed", 0)
-    out = _resolve(str, args.out, config, "out", None)
-    max_lag = _resolve(int, args.max_lag, config, "max_lag", DEFAULT_MAX_LAG)
-    density = _resolve(float, args.density, config, "density", DEFAULT_DENSITY)
-    burn_in = _resolve(int, args.burn_in, config, "burn_in", DEFAULT_BURN_IN)
+    config = _load_config_file(args.config, GENERATE_KEYS) if args.config else {}
+    params = {key: _resolve(kind, getattr(args, key), config, key, default)
+              for key, (kind, default, _) in GENERATE_KEYS.items()}
+    if params["setting"] not in SETTINGS:
+        raise UsageError(f"unknown setting {params['setting']!r}, expected one of {', '.join(SETTINGS)}")
+    out_dir = Path(params.pop("out"))
+    task = f"generate:{params['setting']}"
+    suite_seed = derive_seed(params["seed"], task)
+    suite = benchmark_suite(**{**params, "seed": suite_seed})
 
-    task = f"generate:{setting}"
-    suite_seed = derive_seed(seed, task)
-    try:
-        suite = benchmark_suite(setting, n, T, realizations, suite_seed,
-                                max_lag=max_lag, density=density, burn_in=burn_in)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-
-    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, ds in enumerate(suite):
@@ -163,14 +174,8 @@ def cmd_generate(args) -> int:
         write_graph_json(ds.truth, out_dir / truth_name)
         entries.append({"index": i, "scm_seed": suite_seed + i,
                         "series_csv": series_name, "truth_json": truth_name})
-    manifest = {
-        "setting": setting, "n": n, "T": T, "realizations": realizations,
-        "seed": seed, "task": task, "suite_seed": suite_seed,
-        "max_lag": max_lag, "density": density, "burn_in": burn_in,
-        "datasets": entries,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
+    manifest = {**params, "task": task, "suite_seed": suite_seed, "datasets": entries}
+    (out_dir / "manifest.json").write_text(_dump(manifest), encoding="utf-8")
     print(f"wrote {len(suite)} datasets to {out_dir}")
     return EXIT_OK
 
@@ -191,31 +196,14 @@ def cmd_discover(args) -> int:
     out = _resolve(str, args.out, config, "out", None)
 
     # Load and validate every input before producing any output file.
-    try:
-        series = read_series_csv(args.series)
-    except FileNotFoundError:
-        raise UsageError(f"series file not found: {args.series}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    truth = None
-    if args.truth:
-        try:
-            truth = read_graph_json(args.truth)
-        except FileNotFoundError:
-            raise UsageError(f"truth file not found: {args.truth}") from None
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    series = _read(read_series_csv, args.series, "series")
+    truth = _read(read_graph_json, args.truth, "truth") if args.truth else None
+    if truth is not None:
+        _require_same_n("series", series.n_vars, truth)
 
     base = make_discoverer(method, disc_config)
     started = time.perf_counter()
-    try:
-        if vcdf_config is not None:
-            graph, report = run_vcdf(series, base, vcdf_config)
-        else:
-            graph, report = base.discover(series), None
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    graph, report = _estimate(series, base, vcdf_config)
     seconds = time.perf_counter() - started
 
     out_dir = Path(out)
@@ -228,9 +216,7 @@ def cmd_discover(args) -> int:
             stability_report_to_json(report) + "\n", encoding="utf-8")
         written.append(f"{stem}.stability.json")
     if truth is not None:
-        metrics = _metrics_doc(graph, truth)
-        (out_dir / f"{stem}.metrics.json").write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        (out_dir / f"{stem}.metrics.json").write_text(_dump(_metrics_doc(graph, truth)), encoding="utf-8")
         written.append(f"{stem}.metrics.json")
     meta = {
         "input": str(args.series),
@@ -240,11 +226,22 @@ def cmd_discover(args) -> int:
         "seconds": seconds,
         "edges": len(graph.edges),
     }
-    (out_dir / f"{stem}.meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out_dir / f"{stem}.meta.json").write_text(_dump(meta), encoding="utf-8")
     written.append(f"{stem}.meta.json")
     print(f"wrote {', '.join(written)} to {out_dir}")
     return EXIT_OK
+
+
+def _estimate(series, base, vcdf_config: VcdfConfig | None):
+    """(graph, stability report): the base method's graph and no report, or its stability-filtered graph."""
+    if vcdf_config is None:
+        return base.discover(series), None
+    return run_vcdf(series, base, vcdf_config)
+
+
+def _require_same_n(what: str, n: int, truth: WindowGraph) -> None:
+    if truth.n != n:
+        raise UsageError(f"variable count mismatch: {what} n={n}, truth n={truth.n}")
 
 
 def _f1_doc(result: F1Result) -> dict:
@@ -268,23 +265,15 @@ def _metrics_doc(predicted: WindowGraph, truth: WindowGraph) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    try:
-        predicted = read_graph_json(args.graph)
-        truth = read_graph_json(args.truth)
-    except FileNotFoundError as exc:
-        raise UsageError(f"graph file not found: {exc.filename}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        metrics = _metrics_doc(predicted, truth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    text = json.dumps(metrics, indent=2, sort_keys=True)
-    print(text)
+    predicted = _read(read_graph_json, args.graph, "graph")
+    truth = _read(read_graph_json, args.truth, "truth")
+    _require_same_n("predicted", predicted.n, truth)
+    text = _dump(_metrics_doc(predicted, truth))
+    print(text, end="")
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text + "\n", encoding="utf-8")
+        out_path.write_text(text, encoding="utf-8")
     return EXIT_OK
 
 
@@ -300,9 +289,8 @@ def _bench_grid(preset: str, setting_override: str | None) -> list[tuple[str, in
 
 
 def _split_method(method: str) -> tuple[str, bool]:
-    if method.startswith("vcdf-"):
-        return method[len("vcdf-"):], True
-    return method, False
+    base_id = method.removeprefix("vcdf-")
+    return base_id, base_id != method
 
 
 def cmd_bench(args) -> int:
@@ -313,40 +301,29 @@ def cmd_bench(args) -> int:
     realizations = args.realizations if args.realizations is not None else BENCH_PRESETS[args.preset].realizations
     disc_config = _section(DiscovererConfig, args, {}, "discoverer")
     vcdf_config = _section(VcdfConfig, args, {}, "vcdf")
-    grid = _bench_grid(args.preset, args.setting)
 
     suites: dict[tuple[str, int], list] = {}
     rows = []
-    try:
-        for setting, T, method in grid:
-            cell = (setting, T)
-            if cell not in suites:
-                task_seed = derive_seed(args.seed, f"bench:{args.preset}:{setting}:T={T}")
-                suites[cell] = (task_seed, benchmark_suite(setting, n, T, realizations, task_seed))
-            suite_seed, suite = suites[cell]
-            base_id, wrapped = _split_method(method)
-            base = make_discoverer(base_id, disc_config)
-            window_results, summary_results, seconds = [], [], []
-            for ds in suite:
-                t0 = time.perf_counter()
-                if wrapped:
-                    graph, _ = run_vcdf(ds.series, base, vcdf_config)
-                else:
-                    graph = base.discover(ds.series)
-                seconds.append(time.perf_counter() - t0)
-                window_results.append(window_f1(graph, ds.truth))
-                summary_results.append(summary_f1(graph, ds.truth))
-            window_stats = aggregate(window_results)
-            summary_stats = aggregate(summary_results)
-            rows.append({
-                "setting": setting, "T": T, "method": method,
-                "window": asdict(window_stats), "summary": asdict(summary_stats),
-                "seconds_mean": sum(seconds) / len(seconds),
-                "suite_seed": suite_seed,
-            })
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    for setting, T, method in _bench_grid(args.preset, args.setting):
+        cell = (setting, T)
+        if cell not in suites:
+            task_seed = derive_seed(args.seed, f"bench:{args.preset}:{setting}:T={T}")
+            suites[cell] = (task_seed, benchmark_suite(setting, n, T, realizations, task_seed))
+        suite_seed, suite = suites[cell]
+        base_id, wrapped = _split_method(method)
+        base = make_discoverer(base_id, disc_config)
+        window_results, summary_results, seconds = [], [], []
+        for ds in suite:
+            t0 = time.perf_counter()
+            graph, _ = _estimate(ds.series, base, vcdf_config if wrapped else None)
+            seconds.append(time.perf_counter() - t0)
+            window_results.append(window_f1(graph, ds.truth))
+            summary_results.append(summary_f1(graph, ds.truth))
+        rows.append({
+            "setting": setting, "T": T, "method": method,
+            "window": asdict(aggregate(window_results)), "summary": asdict(aggregate(summary_results)),
+            "seconds_mean": sum(seconds) / len(seconds), "suite_seed": suite_seed,
+        })
 
     report = {
         "preset": args.preset, "n": n, "realizations": realizations, "seed": args.seed,
@@ -358,8 +335,7 @@ def cmd_bench(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                             encoding="utf-8")
+        (out_dir / "report.json").write_text(_dump(report), encoding="utf-8")
         (out_dir / "table.txt").write_text(table, encoding="utf-8")
         print(f"wrote report.json, table.txt to {out_dir}")
     return EXIT_OK
@@ -431,14 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", parents=[lag_flag], help="write a labeled synthetic dataset suite")
     gen.add_argument("--config", help="JSON experiment config; flags override its values")
-    gen.add_argument("--setting", choices=SETTINGS)
-    gen.add_argument("--n", type=int, help="number of variables (default 15)")
-    gen.add_argument("--T", type=int, help="steps per series (default 1000)")
-    gen.add_argument("--realizations", type=int, help="independent systems (default 10)")
-    gen.add_argument("--seed", type=int, help="master seed (default 0)")
-    gen.add_argument("--out", help="output directory")
-    gen.add_argument("--density", type=float)
-    gen.add_argument("--burn-in", type=int, dest="burn_in")
+    for key, (kind, default, text) in GENERATE_KEYS.items():
+        if key != "max_lag":
+            gen.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+                             choices=SETTINGS if key == "setting" else None,
+                             help=text if default is None else f"{text} (default {default})")
     gen.set_defaults(handler=cmd_generate)
 
     dis = sub.add_parser("discover", parents=[lag_flag, method_flags],
@@ -477,7 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
+        # Every input is checked into a UsageError before work starts, so a ValueError here is a failed computation.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

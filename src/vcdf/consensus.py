@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .discovery import BaseDiscoverer
-from .series import Edge, MultivariateSeries, WindowGraph, require_integer
+from .series import Edge, MultivariateSeries, WindowGraph, require_field_kinds
 
 SIGN_TOLERANCE = 1e-12
 
@@ -39,7 +40,7 @@ class VcdfConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        require_integer("k", self.k)
+        require_field_kinds(self)
         if self.k < 2:
             raise ValueError(f"need k >= 2 folds, got {self.k}")
         if math.isnan(self.tau_c) or not 0.0 <= self.tau_c <= 1.0:
@@ -176,10 +177,7 @@ def run_vcdf(
         kept = c >= config.tau_c and v <= config.tau_v
         records.append(EdgeStability(edge.cause, edge.effect, edge.lag, edge.weight, estimates, c, v, kept))
         if kept:
-            if config.w == 0.0:
-                weight = edge.weight
-            else:
-                weight = (1.0 - config.w) * edge.weight + config.w * (sum(estimates) / len(estimates))
+            weight = (1.0 - config.w) * edge.weight + config.w * (sum(estimates) / len(estimates))
             if weight != 0.0:
                 kept_edges.append(Edge(edge.cause, edge.effect, edge.lag, weight))
     filtered = WindowGraph(full_graph.n, full_graph.max_lag, frozenset(kept_edges))
@@ -188,24 +186,26 @@ def run_vcdf(
 
 def stability_report_to_json(report: StabilityReport) -> str:
     """Deterministic JSON: config echo plus per-edge records sorted by edge key."""
-    cfg = report.config
     doc = {
-        "config": {"k": cfg.k, "tau_c": cfg.tau_c, "tau_v": cfg.tau_v, "w": cfg.w, "epsilon": cfg.epsilon},
-        "edges": [
-            {
-                "cause": e.cause,
-                "effect": e.effect,
-                "lag": e.lag,
-                "r0": e.r0,
-                "folds": list(e.folds),
-                "c": e.c,
-                "v": e.v,
-                "kept": e.kept,
-            }
-            for e in sorted(report.edges, key=lambda e: (e.cause, e.effect, e.lag))
-        ],
+        "config": asdict(report.config),
+        "edges": [asdict(e) for e in sorted(report.edges, key=lambda e: (e.cause, e.effect, e.lag))],
     }
     return json.dumps(doc)
+
+
+_EDGE_KINDS = get_type_hints(EdgeStability)
+
+
+def _edge_value(name: str, value):
+    """A stability-report edge field parsed as its declared kind."""
+    kind = _EDGE_KINDS[name]
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{name!r} must be true or false, got {value!r}")
+        return value
+    if kind in (int, float):
+        return kind(value)
+    return tuple(float(v) for v in value)
 
 
 def stability_report_from_json(text: str) -> StabilityReport:
@@ -218,31 +218,18 @@ def stability_report_from_json(text: str) -> StabilityReport:
     cfg = doc["config"]
     if not isinstance(cfg, dict):
         raise ValueError("stability report field 'config' must be an object")
-    for key in ("k", "tau_c", "tau_v", "w", "epsilon"):
+    for key in (f.name for f in fields(VcdfConfig)):
         if key not in cfg:
             raise ValueError(f"stability report config is missing {key!r}")
         if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
             raise ValueError(f"stability report config {key!r} must be a number, got {cfg[key]!r}")
-    config = VcdfConfig(k=cfg["k"], tau_c=cfg["tau_c"], tau_v=cfg["tau_v"], w=cfg["w"], epsilon=cfg["epsilon"])
+    config = VcdfConfig(**{f.name: cfg[f.name] for f in fields(VcdfConfig)})
     if not isinstance(doc["edges"], list):
         raise ValueError("stability report field 'edges' must be an array")
     edges = []
     for idx, item in enumerate(doc["edges"]):
         try:
-            if not isinstance(item["kept"], bool):
-                raise ValueError(f"'kept' must be true or false, got {item['kept']!r}")
-            edges.append(
-                EdgeStability(
-                    cause=int(item["cause"]),
-                    effect=int(item["effect"]),
-                    lag=int(item["lag"]),
-                    r0=float(item["r0"]),
-                    folds=tuple(float(v) for v in item["folds"]),
-                    c=float(item["c"]),
-                    v=float(item["v"]),
-                    kept=item["kept"],
-                )
-            )
+            edges.append(EdgeStability(**{name: _edge_value(name, item[name]) for name in _EDGE_KINDS}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"stability report edge {idx} is malformed: {exc}") from None
     return StabilityReport(config, tuple(edges))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import Edge, MultivariateSeries, WindowGraph, require_integer
+from .series import Edge, MultivariateSeries, WindowGraph, require_field_kinds
 
 # Constants of the maximum-entropy approximation used by the pairwise
 # non-Gaussianity contrast (log-cosh and Gaussian-moment terms).
@@ -43,7 +43,7 @@ class DiscovererConfig:
     alpha: float = 0.01
 
     def __post_init__(self) -> None:
-        require_integer("max_lag", self.max_lag)
+        require_field_kinds(self)
         if self.max_lag < 1:
             raise ValueError(f"max_lag must be >= 1, got {self.max_lag}")
         if not np.isfinite(self.prune_threshold) or self.prune_threshold < 0:

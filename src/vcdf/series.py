@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import numbers
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -14,14 +15,30 @@ import numpy as np
 _NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
 
-def require_integer(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer; NumPy ints pass, booleans do not."""
+def require_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer (NumPy ints pass, booleans do not)."""
     try:
         if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def require_number(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number; NumPy floats pass, booleans do not."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def require_field_kinds(config) -> None:
+    """Check each field of a frozen dataclass against its default's kind, storing integers as ints."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(f.default) is int:
+            object.__setattr__(config, f.name, require_integer(f.name, value))
+        else:
+            require_number(f.name, value)
 
 
 class Edge(NamedTuple):

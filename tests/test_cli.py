@@ -207,6 +207,18 @@ def test_discover_computation_failure_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_discover_truth_of_another_variable_count_exits_2_without_outputs(dataset_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert run("generate", "--setting", "linear", "--n", "4", "--T", "300",
+               "--realizations", "1", "--out", other) == 0
+    capsys.readouterr()
+    out = tmp_path / "nothing"
+    assert run("discover", dataset_dir / "series_000.csv", "--vcdf", "--truth", other / "truth_000.json",
+               "--out", out) == 2
+    assert "series n=5, truth n=4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_discover_fold_failure_names_the_fold(dataset_dir, tmp_path, capsys):
     # 60 rows: enough for the full-sample fit, too short for each fold's training set
     short = tmp_path / "short.csv"
@@ -215,6 +227,17 @@ def test_discover_fold_failure_names_the_fold(dataset_dir, tmp_path, capsys):
     out = tmp_path / "nothing"
     assert run("discover", short, "--method", "varlingam", "--vcdf", "--out", out) == 3
     assert "fold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--setting", "linear", "--n", "1"),
+    ("bench", "runtime", "--n", "1", "--realizations", "1"),
+])
+def test_generate_and_bench_computation_failure_exits_3(argv, tmp_path, capsys):
+    out = tmp_path / "nothing"
+    assert run(*argv, "--out", out) == 3
+    assert "need n >= 2 variables" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +265,11 @@ def test_evaluate_perfect_on_identical_graphs(dataset_dir, capsys):
     assert doc["summary"]["f1"] == 1.0
 
 
-def test_evaluate_missing_file_exits_2(tmp_path):
+def test_evaluate_missing_file_exits_2(dataset_dir, tmp_path, capsys):
     assert run("evaluate", tmp_path / "a.json", tmp_path / "b.json") == 2
+    assert f"graph file not found: {tmp_path / 'a.json'}" in capsys.readouterr().err
+    assert run("evaluate", dataset_dir / "truth_000.json", tmp_path / "b.json") == 2
+    assert f"truth file not found: {tmp_path / 'b.json'}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

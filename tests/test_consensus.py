@@ -74,6 +74,10 @@ def _series(seed, T=150, n=3):
     ({"k": 5.0}, "k must be an integer"),
     ({"k": True}, "k must be an integer"),
     ({"k": np.array(5.0)}, "k must be an integer"),
+    ({"tau_c": True}, "tau_c must be a number"),
+    ({"w": True}, "w must be a number"),
+    ({"tau_v": "0.4"}, "tau_v must be a number"),
+    ({"epsilon": None}, "epsilon must be a number"),
 ])
 def test_config_bounds(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -82,6 +86,11 @@ def test_config_bounds(kwargs, fragment):
 
 def test_config_takes_numpy_integers():
     assert VcdfConfig(k=np.int32(4)).k == 4
+    config = VcdfConfig(k=np.int64(5), tau_c=np.float64(0.4))
+    assert type(config.k) is int
+    _, report = run_vcdf(_series(5), CorrelationStub(), config)
+    text = stability_report_to_json(report)
+    assert stability_report_from_json(text) == report
 
 
 def test_config_allows_infinite_tau_v():

@@ -59,6 +59,10 @@ def _uniform(rng, size):
     ({"max_lag": True}, "max_lag must be an integer"),
     ({"max_lag": np.True_}, "max_lag must be an integer"),
     ({"max_lag": "2"}, "max_lag must be an integer"),
+    ({"prune_threshold": True}, "prune_threshold must be a number"),
+    ({"alpha": False}, "alpha must be a number"),
+    ({"alpha": np.False_}, "alpha must be a number"),
+    ({"alpha": "0.5"}, "alpha must be a number"),
 ])
 def test_config_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -66,7 +70,8 @@ def test_config_validation(kwargs, fragment):
 
 
 def test_config_takes_numpy_integers():
-    assert DiscovererConfig(max_lag=np.int64(2)).max_lag == 2
+    config = DiscovererConfig(max_lag=np.int64(2), alpha=np.float32(0.05))
+    assert config.max_lag == 2 and type(config.max_lag) is int
 
 
 # ---------------------------------------------------------------------------
