@@ -25,6 +25,7 @@ from .series import (
     WindowGraph,
     read_graph_json,
     read_series_csv,
+    require_kind,
     write_graph_json,
     write_series_csv,
 )
@@ -84,6 +85,8 @@ def _read(reader, path, what: str):
         raise UsageError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} file {path}: malformed JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} file {path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -106,28 +109,19 @@ def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
         raise UsageError(f"{where}: unknown keys: {', '.join(unknown)}")
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-
 def _resolve(kind: type, flag_value, config: dict, key: str, default):
-    """The flag, else the config entry, else ``default`` (None: required), as a ``kind`` (int, float or str).
-
-    Booleans are not numbers, an integer takes no fraction, and only a string is a string.
-    """
+    """The flag, else the config entry, else ``default`` (None: required), as a ``kind`` (see ``require_kind``)."""
     value = flag_value if flag_value is not None else config.get(key)
     if value is None:
         if default is None:
             raise UsageError(f"requires --{key} (or {key!r} in --config)")
         return default
-    if kind is str:
-        if isinstance(value, str):
-            return value
-    elif not isinstance(value, bool) and not (kind is int and isinstance(value, float) and not value.is_integer()):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    raise UsageError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    # A hand-written config may spell an integer as a whole float, "T": 300.0.
+    value = int(value) if kind is int and isinstance(value, float) and value.is_integer() else value
+    try:
+        return require_kind(f"config key {key!r}", value, kind)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _section(cls, args, sub, key: str):

@@ -17,7 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .discovery import BaseDiscoverer
-from .series import Edge, MultivariateSeries, WindowGraph, require_field_kinds
+from .series import Edge, MultivariateSeries, WindowGraph, require_field_kinds, require_fields
 
 SIGN_TOLERANCE = 1e-12
 
@@ -157,8 +157,8 @@ def run_vcdf(
     makes disappearance across folds the strongest removal signal.
     """
     config = config if config is not None else VcdfConfig()
-    full_graph = base.discover(series)
     plan = make_fold_plan(series.n_steps, config.k)
+    full_graph = base.discover(series)
     fold_weights = []
     for fold in range(config.k):
         training = extract_training(series, plan, fold)
@@ -193,19 +193,8 @@ def stability_report_to_json(report: StabilityReport) -> str:
     return json.dumps(doc)
 
 
+_CONFIG_KINDS = {f.name: type(f.default) for f in fields(VcdfConfig)}
 _EDGE_KINDS = get_type_hints(EdgeStability)
-
-
-def _edge_value(name: str, value):
-    """A stability-report edge field parsed as its declared kind."""
-    kind = _EDGE_KINDS[name]
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"{name!r} must be true or false, got {value!r}")
-        return value
-    if kind in (int, float):
-        return kind(value)
-    return tuple(float(v) for v in value)
 
 
 def stability_report_from_json(text: str) -> StabilityReport:
@@ -213,23 +202,8 @@ def stability_report_from_json(text: str) -> StabilityReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed stability report JSON: {exc}") from None
-    if not isinstance(doc, dict) or "config" not in doc or "edges" not in doc:
-        raise ValueError("stability report JSON must carry 'config' and 'edges'")
-    cfg = doc["config"]
-    if not isinstance(cfg, dict):
-        raise ValueError("stability report field 'config' must be an object")
-    for key in (f.name for f in fields(VcdfConfig)):
-        if key not in cfg:
-            raise ValueError(f"stability report config is missing {key!r}")
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
-            raise ValueError(f"stability report config {key!r} must be a number, got {cfg[key]!r}")
-    config = VcdfConfig(**{f.name: cfg[f.name] for f in fields(VcdfConfig)})
-    if not isinstance(doc["edges"], list):
-        raise ValueError("stability report field 'edges' must be an array")
-    edges = []
-    for idx, item in enumerate(doc["edges"]):
-        try:
-            edges.append(EdgeStability(**{name: _edge_value(name, item[name]) for name in _EDGE_KINDS}))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"stability report edge {idx} is malformed: {exc}") from None
-    return StabilityReport(config, tuple(edges))
+    parts = require_fields("stability report", doc, {"config": dict, "edges": list})
+    config = VcdfConfig(**require_fields("stability report config", parts["config"], _CONFIG_KINDS))
+    edges = tuple(EdgeStability(**require_fields(f"stability report edge {idx}", item, _EDGE_KINDS))
+                  for idx, item in enumerate(parts["edges"]))
+    return StabilityReport(config, edges)

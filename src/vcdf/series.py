@@ -8,37 +8,68 @@ import operator
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, get_type_hints
 
 import numpy as np
 
 _NAME_PATTERN = re.compile(r"[A-Za-z0-9_]+")
 
 
-def require_integer(name: str, value) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is an integer (NumPy ints pass, booleans do not)."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
+# Each kind a value read from outside may take, as its error messages name it.
+_KIND_WORDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "an array", dict: "an object", tuple[float, ...]: "an array of numbers"}
+
+
+def _as_kind(value, kind):
+    """``value`` as ``kind`` (a key of ``_KIND_WORDS``); TypeError when it is not one."""
+    if type(value) is kind:
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        if kind is bool:
+            return bool(value)
+    elif kind is int:
         return operator.index(value)
+    elif kind is float:
+        if isinstance(value, numbers.Real):
+            return float(value)
+    elif kind == tuple[float, ...]:
+        if isinstance(value, (list, tuple)):
+            return tuple(_as_kind(v, float) for v in value)
+    elif kind in (str, list, dict) and isinstance(value, kind):
+        return value
+    raise TypeError
+
+
+def require_kind(name: str, value, kind):
+    """``value`` as ``kind``, or ValueError "<name> must be <kind>, got <value>".
+
+    The one rule: a boolean is neither an integer nor a number; an integer is what ``operator.index``
+    takes (NumPy ints pass, 2.0 does not); a number is any real (inf too), returned as float.
+    """
+    try:
+        return _as_kind(value, kind)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be {_KIND_WORDS[kind]}, got {value!r}") from None
 
 
-def require_number(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a real number; NumPy floats pass, booleans do not."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+def require_fields(where: str, doc, kinds: dict) -> dict:
+    """Each field of JSON object ``doc`` named in ``kinds``, as its kind; ValueError starting ``where`` if not."""
+    require_kind(where, doc, dict)
+    values = {}
+    for key, kind in kinds.items():
+        try:
+            values[key] = _as_kind(doc[key], kind)
+        except KeyError:
+            raise ValueError(f"{where}: missing the {key!r} field") from None
+        except TypeError:
+            require_kind(f"{where}: field {key!r}", doc[key], kind)  # raises, naming the field
+    return values
 
 
 def require_field_kinds(config) -> None:
-    """Check each field of a frozen dataclass against its default's kind, storing integers as ints."""
+    """Store each field of a frozen dataclass as its default's kind (see ``require_kind``)."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if type(f.default) is int:
-            object.__setattr__(config, f.name, require_integer(f.name, value))
-        else:
-            require_number(f.name, value)
+        object.__setattr__(config, f.name, require_kind(f.name, getattr(config, f.name), type(f.default)))
 
 
 class Edge(NamedTuple):
@@ -297,39 +328,19 @@ def graph_to_json(graph: WindowGraph) -> str:
     return '{"n": %d, "max_lag": %d, "edges": [%s]}' % (graph.n, graph.max_lag, ", ".join(parts))
 
 
+_GRAPH_KINDS = {"n": int, "max_lag": int, "edges": list}
+_EDGE_KINDS = get_type_hints(Edge)
+
+
 def graph_from_json(text: str) -> WindowGraph:
     """Parse and validate a graph document produced by :func:`graph_to_json`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("graph JSON must be an object")
-    for field in ("n", "max_lag", "edges"):
-        if field not in doc:
-            raise ValueError(f"graph JSON is missing the {field!r} field")
-    n, max_lag, raw_edges = doc["n"], doc["max_lag"], doc["edges"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("graph JSON field 'n' must be an integer")
-    if not isinstance(max_lag, int) or isinstance(max_lag, bool):
-        raise ValueError("graph JSON field 'max_lag' must be an integer")
-    if not isinstance(raw_edges, list):
-        raise ValueError("graph JSON field 'edges' must be an array")
-    edges = []
-    for idx, item in enumerate(raw_edges):
-        if not isinstance(item, dict):
-            raise ValueError(f"edge {idx}: must be an object")
-        for field in ("cause", "effect", "lag", "weight"):
-            if field not in item:
-                raise ValueError(f"edge {idx}: missing the {field!r} field")
-        cause, effect, lag, weight = item["cause"], item["effect"], item["lag"], item["weight"]
-        for label, value in (("cause", cause), ("effect", effect), ("lag", lag)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"edge {idx}: field {label!r} must be an integer")
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise ValueError(f"edge {idx}: field 'weight' must be a number")
-        edges.append(Edge(cause, effect, lag, float(weight)))
-    return WindowGraph(n=n, max_lag=max_lag, edges=frozenset(edges))
+    graph = require_fields("graph JSON", doc, _GRAPH_KINDS)
+    edges = [Edge(**require_fields(f"edge {idx}", item, _EDGE_KINDS)) for idx, item in enumerate(graph["edges"])]
+    return WindowGraph(n=graph["n"], max_lag=graph["max_lag"], edges=frozenset(edges))
 
 
 def read_graph_json(path: str | Path) -> WindowGraph:

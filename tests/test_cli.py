@@ -88,7 +88,7 @@ def test_generate_config_value_of_the_wrong_type_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("key, value", [("T", 300.9), ("n", True)])
+@pytest.mark.parametrize("key, value", [("T", 300.9), ("n", True), ("n", "5")])
 def test_generate_integer_key_rejects_fractions_and_bools(key, value, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"setting": "linear", "n": 5, "T": 300, key: value}))
@@ -166,12 +166,25 @@ def test_discover_malformed_csv_exits_2_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["bad.csv", "bad.json"])
+def test_non_utf8_input_exits_2_naming_the_file(name, dataset_dir, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xffa,b\n1,2\n")
+    out = tmp_path / "nothing"
+    series, config = (bad, []) if name == "bad.csv" else (dataset_dir / "series_000.csv", ["--config", bad])
+    assert run("discover", series, *config, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"file {bad}: not UTF-8 text" in err
+    assert not out.exists()
+
+
 def test_discover_config_value_of_the_wrong_type_exits_2(dataset_dir, tmp_path, capsys):
     config = tmp_path / "config.json"
     out = tmp_path / "nothing"
     for doc, fragment in (({"vcdf": {"k": [5]}}, "'k'"), ({"method": []}, "'method'"),
                           ({"discoverer": {"prune": 0.3}}, "'discoverer': unknown keys: prune"),
-                          ({"vcdf": {"tau": 0.9}}, "'vcdf': unknown keys: tau")):
+                          ({"vcdf": {"tau": 0.9}}, "'vcdf': unknown keys: tau"),
+                          ({"discoverer": {"alpha": "0.05"}}, "'alpha'"), ({"vcdf": {"k": "4"}}, "'k'")):
         config.write_text(json.dumps(doc))
         assert run("discover", dataset_dir / "series_000.csv", "--config", config, "--vcdf", "--out", out) == 2
         assert fragment in capsys.readouterr().err

@@ -348,6 +348,20 @@ def test_run_vcdf_is_deterministic():
     assert stability_report_to_json(r1) == stability_report_to_json(r2)
 
 
+def test_fold_count_is_checked_before_any_base_fit():
+    class CountingStub(CorrelationStub):
+        calls = 0
+
+        def discover(self, series):
+            self.calls += 1
+            return super().discover(series)
+
+    base = CountingStub()
+    with pytest.raises(ValueError, match="cannot cut 40 steps into 41 folds"):
+        run_vcdf(_series(0, T=40), base, VcdfConfig(k=41))
+    assert base.calls == 0
+
+
 def test_fold_failures_carry_the_fold_index():
     # 60 rows per training set is too short for varlingam at n=3: the fold
     # discovery, not the full-sample one, is what fails
@@ -381,14 +395,24 @@ def test_empty_report_is_canonical():
 def test_report_json_rejects_garbage():
     config = {"k": 5, "tau_c": 0.4, "tau_v": 0.4, "w": 0.0, "epsilon": 1e-8}
     edge = {"cause": 0, "effect": 1, "lag": 1, "r0": 0.5, "folds": [0.5, 0.5], "c": 1.0, "v": 0.0, "kept": True}
-    for text in (
-        "[1, 2, 3]",
-        "{not json",
-        '{"config": {}, "edges": []}',
-        json.dumps({"config": {**config, "k": "5"}, "edges": []}),
-        json.dumps({"config": {**config, "tau_c": "0.4"}, "edges": []}),
-        json.dumps({"config": config, "edges": 5}),
-        json.dumps({"config": config, "edges": [{**edge, "kept": "no"}]}),
+    no_cause = {name: value for name, value in edge.items() if name != "cause"}
+    for text, fragment in (
+        ("[1, 2, 3]", "must be an object"),
+        ("{not json", "malformed"),
+        ('{"config": {}, "edges": []}', "missing the 'k' field"),
+        (json.dumps({"config": {**config, "k": "5"}, "edges": []}), "'k' must be an integer"),
+        (json.dumps({"config": {**config, "tau_c": "0.4"}, "edges": []}), "'tau_c' must be a number"),
+        (json.dumps({"config": config, "edges": 5}), "'edges' must be an array"),
+        (json.dumps({"config": config, "edges": [{**edge, "kept": "no"}]}), "'kept' must be true or false"),
+        (json.dumps({"config": config, "edges": [{**edge, "cause": 1.7}]}), "'cause' must be an integer"),
+        (json.dumps({"config": config, "edges": [{**edge, "cause": True}]}), "'cause' must be an integer"),
+        (json.dumps({"config": config, "edges": [{**edge, "lag": "2"}]}), "'lag' must be an integer"),
+        (json.dumps({"config": config, "edges": [{**edge, "r0": "0.5"}]}), "'r0' must be a number"),
+        (json.dumps({"config": config, "edges": [{**edge, "r0": True}]}), "'r0' must be a number"),
+        (json.dumps({"config": config, "edges": [{**edge, "c": "nan"}]}), "'c' must be a number"),
+        (json.dumps({"config": config, "edges": [{**edge, "folds": "12345"}]}), "'folds' must be an array"),
+        (json.dumps({"config": config, "edges": [{**edge, "folds": {"1": 0}}]}), "'folds' must be an array"),
+        (json.dumps({"config": config, "edges": [no_cause]}), "edge 0: missing the 'cause' field"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=fragment):
             stability_report_from_json(text)

@@ -390,6 +390,9 @@ def test_graph_file_round_trip_appends_newline(tmp_path):
          "'cause' must be an integer"),
         ('{"n": 2, "max_lag": 1, "edges": [{"cause": 0, "effect": 1, "lag": 1, "weight": true}]}',
          "'weight' must be a number"),
+        ('{"n": 2, "max_lag": 1, "edges": [{"cause": 0, "effect": 1, "lag": 1.0, "weight": 1.0}]}',
+         "'lag' must be an integer"),
+        ('{"n": 2, "max_lag": "1", "edges": []}', "'max_lag' must be an integer"),
         ('{"n": 2, "max_lag": 1, "edges": [{"cause": 0, "effect": 1, "lag": 1, "weight": 0.0}]}',
          "non-zero weight"),
     ],
@@ -397,3 +400,21 @@ def test_graph_file_round_trip_appends_newline(tmp_path):
 def test_graph_from_json_is_strict(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         graph_from_json(text)
+
+
+@pytest.mark.parametrize("value, kind, expected", [
+    (0, float, 0.0),
+    (float("inf"), float, float("inf")),
+    (np.float32(0.5), float, 0.5),
+    ([1, 0.5], tuple[float, ...], (1.0, 0.5)),
+    (False, bool, False),
+    (1, bool, None),
+    ([True], tuple[float, ...], None),
+])
+def test_require_kind_is_one_rule(value, kind, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match=r"^x must be .*, got "):
+            series_module.require_kind("x", value, kind)
+    else:
+        got = series_module.require_kind("x", value, kind)
+        assert got == expected and type(got) is type(expected)
