@@ -6,7 +6,10 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vcdf.discovery as discovery
 from vcdf import (
     SETTINGS,
     DiscovererConfig,
@@ -20,10 +23,13 @@ from vcdf import (
     graph_to_json,
     lagreg_discover,
     make_discoverer,
+    run_vcdf,
     simulate,
+    summary_f1,
     varlingam_discover,
+    window_f1,
 )
-from vcdf.discovery import _GAMMA, _K1, _K2, _entropy, _lagged_ols, _select_exogenous
+from vcdf.discovery import _GAMMA, _K1, _K2, _entropy, _lagged_design, _lagged_ols, _select_exogenous
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -412,6 +418,101 @@ def test_edge_emission_matches_the_per_entry_loops(setting, n, T):
                                     (lagreg_discover, reference_lagreg_discover)):
             expected = graph_to_json(reference(series, config))
             assert graph_to_json(discover(series, config)) == expected, (discover.__name__, config)
+
+
+# ---------------------------------------------------------------------------
+# OLS core
+# ---------------------------------------------------------------------------
+
+def reference_lagged_ols(values, p):
+    """The original QR solve of _lagged_ols: the oracle for its Gram-matrix solve."""
+    if p < 1:
+        raise ValueError(f"lag order must be >= 1, got {p}")
+    T, n = values.shape
+    if T <= n * p + p + 1:
+        raise ValueError(f"need more than {n * p + p + 1} steps to fit {n} variables at lag {p}, got {T}")
+    Z, Y = _lagged_design(values, p)
+    Q, R = np.linalg.qr(Z)
+    diag = np.abs(np.diag(R))
+    tol = (diag.max() if diag.size else 0.0) * max(Z.shape) * np.finfo(float).eps
+    if diag.size == 0 or diag.min() <= tol:
+        raise ValueError(
+            "rank-deficient regressor matrix (constant or duplicate columns, or too few rows)"
+        )
+    beta = np.linalg.solve(R, Q.T @ Y)
+    return beta, Y - Z @ beta, R
+
+
+def _base_and_filtered(series, method):
+    """The base method's graph, and the filtered graph and stability report of one run_vcdf."""
+    filtered, report = run_vcdf(series, make_discoverer(method))
+    base = WindowGraph(filtered.n, filtered.max_lag,
+                       frozenset(Edge(e.cause, e.effect, e.lag, e.r0) for e in report.edges))
+    return base, filtered, report
+
+
+def _assert_graphs_agree(got, want, truth):
+    assert {e.key for e in got.edges} == {e.key for e in want.edges}
+    weights = want.weight_map()
+    for edge in got.edges:
+        assert abs(edge.weight - weights[edge.key]) <= 1e-9 * abs(weights[edge.key]), edge
+    assert window_f1(got, truth) == window_f1(want, truth)
+    assert summary_f1(got, truth) == summary_f1(want, truth)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("T", [250, 1000, 4000])
+def test_ols_core_matches_the_qr_reference(monkeypatch, setting, T):
+    for dataset in benchmark_suite(setting, 15, T, 3, 0):
+        for method in ("varlingam", "lagreg"):
+            got = _base_and_filtered(dataset.series, method)
+            with monkeypatch.context() as patched:
+                patched.setattr(discovery, "_lagged_ols", reference_lagged_ols)
+                want = _base_and_filtered(dataset.series, method)
+            for got_graph, want_graph in zip(got[:2], want[:2]):
+                _assert_graphs_agree(got_graph, want_graph, dataset.truth)
+            verdicts = [[(e.cause, e.effect, e.lag, e.c, e.kept) for e in report.edges]
+                        for report in (got[2], want[2])]
+            assert verdicts[0] == verdicts[1]
+            for g, w in zip(got[2].edges, want[2].edges):
+                np.testing.assert_allclose([g.r0, *g.folds, g.v], [w.r0, *w.folds, w.v], rtol=1e-9, atol=0.0)
+
+
+@st.composite
+def ill_conditioned_values(draw):
+    """A lag order and a series with one near-copied, constant or strongly trended column."""
+    T = draw(st.integers(min_value=30, max_value=300))
+    n = draw(st.integers(min_value=2, max_value=4))
+    p = draw(st.integers(min_value=1, max_value=2))
+    values = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1))).standard_normal((T, n))
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    kind = draw(st.sampled_from(["near-copy", "constant", "trended"]))
+    if kind == "near-copy":
+        # Noise scales from 1e-9 to 1 put the factor's diagonal ratio on both sides of 1e-3.
+        values[:, j] = values[:, (j + 1) % n] + 10.0 ** draw(st.floats(min_value=-9.0, max_value=0.0)) * values[:, j]
+    elif kind == "constant":
+        values[:, j] = draw(st.floats(min_value=-1e6, max_value=1e6))
+    else:
+        slope = draw(st.floats(min_value=-10.0, max_value=10.0))
+        values[:, j] += draw(st.floats(min_value=-1e6, max_value=1e6)) + slope * np.arange(T)
+    return values, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ill_conditioned_values())
+def test_ols_core_matches_the_qr_reference_on_ill_conditioned_designs(case):
+    values, p = case
+    outcomes = []
+    for solve in (_lagged_ols, reference_lagged_ols):
+        try:
+            outcomes.append(solve(values, p)[0])
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
