@@ -136,6 +136,14 @@ def _section(cls, args, sub, key: str):
         raise UsageError(str(exc)) from None
 
 
+def _suite(setting: str, n: int, T: int, realizations: int, seed: int, **options) -> list:
+    """``benchmark_suite``, with a value it rejects turned into a usage error."""
+    try:
+        return benchmark_suite(setting, n, T, realizations, seed, **options)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _vcdf_section(config: dict) -> dict | None:
     """The config's 'vcdf' thresholds: true or an object turns the filter on, false or null leaves it off."""
     sub = config.get("vcdf")
@@ -157,7 +165,7 @@ def cmd_generate(args) -> int:
     out_dir = Path(params.pop("out"))
     task = f"generate:{params['setting']}"
     suite_seed = derive_seed(params["seed"], task)
-    suite = benchmark_suite(**{**params, "seed": suite_seed})
+    suite = _suite(**{**params, "seed": suite_seed})
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -296,14 +304,13 @@ def cmd_bench(args) -> int:
     disc_config = _section(DiscovererConfig, args, {}, "discoverer")
     vcdf_config = _section(VcdfConfig, args, {}, "vcdf")
 
-    suites: dict[tuple[str, int], list] = {}
+    grid = _bench_grid(args.preset, args.setting)
+    # Every cell's datasets are drawn before any fit, so an out-of-range value fails first.
+    seeds = {(setting, T): derive_seed(args.seed, f"bench:{args.preset}:{setting}:T={T}") for setting, T, _ in grid}
+    suites = {(setting, T): _suite(setting, n, T, realizations, seed) for (setting, T), seed in seeds.items()}
     rows = []
-    for setting, T, method in _bench_grid(args.preset, args.setting):
-        cell = (setting, T)
-        if cell not in suites:
-            task_seed = derive_seed(args.seed, f"bench:{args.preset}:{setting}:T={T}")
-            suites[cell] = (task_seed, benchmark_suite(setting, n, T, realizations, task_seed))
-        suite_seed, suite = suites[cell]
+    for setting, T, method in grid:
+        suite_seed, suite = seeds[setting, T], suites[setting, T]
         base_id, wrapped = _split_method(method)
         base = make_discoverer(base_id, disc_config)
         window_results, summary_results, seconds = [], [], []

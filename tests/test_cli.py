@@ -242,14 +242,23 @@ def test_discover_fold_failure_names_the_fold(dataset_dir, tmp_path, capsys):
     assert "fold" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ("generate", "--setting", "linear", "--n", "1"),
-    ("bench", "runtime", "--n", "1", "--realizations", "1"),
+_GENERATE = ("generate", "--setting", "linear", "--n", "5", "--T", "300", "--realizations", "1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(_GENERATE + ("--density", "2"), "density must lie in (0, 1], got 2.0", id="generate-density"),
+    pytest.param(_GENERATE + ("--n", "1"), "need n >= 2 variables", id="generate-n"),
+    pytest.param(_GENERATE + ("--T", "5"), "need T >= 30", id="generate-T"),
+    pytest.param(_GENERATE + ("--realizations", "0"), "need realizations >= 1", id="generate-realizations"),
+    pytest.param(_GENERATE + ("--burn-in", "-1"), "burn_in must be >= 0", id="generate-burn-in"),
+    pytest.param(_GENERATE + ("--max-lag", "0"), "need max_lag >= 1", id="generate-max-lag"),
+    pytest.param(("bench", "runtime", "--n", "1"), "need n >= 2 variables", id="bench-n"),
+    pytest.param(("bench", "runtime", "--realizations", "0"), "need realizations >= 1", id="bench-realizations"),
 ])
-def test_generate_and_bench_computation_failure_exits_3(argv, tmp_path, capsys):
+def test_generate_and_bench_out_of_range_value_exits_2(argv, message, tmp_path, capsys):
     out = tmp_path / "nothing"
-    assert run(*argv, "--out", out) == 3
-    assert "need n >= 2 variables" in capsys.readouterr().err
+    assert run(*argv, "--out", out) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
