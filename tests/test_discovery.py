@@ -449,6 +449,47 @@ def reference_lagged_ols(values, p):
     return beta, Y - Z @ beta, R
 
 
+def reference_direct_lingam_order(residuals):
+    """The original ordering, which re-solved each variable's regression on its predecessors with lstsq: the b0 oracle."""
+    E = np.asarray(residuals, dtype=float)
+    if E.ndim != 2:
+        raise ValueError(f"residuals must be 2-dimensional, got shape {E.shape}")
+    if not np.isfinite(E).all():
+        raise ValueError("residuals must be finite")
+    rows, n = E.shape
+    if rows < 10 * n:
+        raise ValueError(f"need at least {10 * n} residual rows for {n} variables, got {rows}")
+
+    work = E.copy()
+    active = list(range(n))
+    order: list[int] = []
+    while active:
+        chosen = active[0] if len(active) == 1 else _select_exogenous(work, active)
+        order.append(chosen)
+        active.remove(chosen)
+        if active:
+            pivot = work[:, chosen]
+            var = float(pivot.var())
+            if var <= discovery._ZERO_TOLERANCE:
+                raise ValueError("degenerate (near-constant) residual column")
+            pivot_mean = float(pivot.mean())
+            rest = work[:, active]
+            covs = rest.mean(axis=0) * pivot_mean
+            covs = (rest * pivot[:, None]).mean(axis=0) - covs
+            work[:, active] = rest - np.outer(pivot, covs / var)
+
+    b0 = np.zeros((n, n))
+    ones = np.ones((rows, 1))
+    for idx in range(1, n):
+        target = order[idx]
+        predecessors = order[:idx]
+        Z = np.hstack([ones, E[:, predecessors]])
+        beta, _, _, _ = np.linalg.lstsq(Z, E[:, target], rcond=None)
+        b0[target, predecessors] = beta[1:]
+    b0[np.abs(b0) < discovery._ZERO_TOLERANCE] = 0.0
+    return order, b0
+
+
 def _base_and_filtered(series, method):
     """The base method's graph, and the filtered graph and stability report of one run_vcdf."""
     filtered, report = run_vcdf(series, make_discoverer(method))
@@ -466,6 +507,17 @@ def _assert_graphs_agree(got, want, truth):
     assert summary_f1(got, truth) == summary_f1(want, truth)
 
 
+def _assert_runs_agree(got, want, truth):
+    """Two ``_base_and_filtered`` results: the same graphs, kept flags and C, and estimates within 1e-9."""
+    for got_graph, want_graph in zip(got[:2], want[:2]):
+        _assert_graphs_agree(got_graph, want_graph, truth)
+    verdicts = [[(e.cause, e.effect, e.lag, e.c, e.kept) for e in report.edges]
+                for report in (got[2], want[2])]
+    assert verdicts[0] == verdicts[1]
+    for g, w in zip(got[2].edges, want[2].edges):
+        np.testing.assert_allclose([g.r0, *g.folds, g.v], [w.r0, *w.folds, w.v], rtol=1e-9, atol=0.0)
+
+
 @pytest.mark.parametrize("setting", SETTINGS)
 @pytest.mark.parametrize("T", [250, 1000, 4000])
 def test_ols_core_matches_the_qr_reference(monkeypatch, setting, T):
@@ -475,13 +527,45 @@ def test_ols_core_matches_the_qr_reference(monkeypatch, setting, T):
             with monkeypatch.context() as patched:
                 patched.setattr(discovery, "_lagged_ols", reference_lagged_ols)
                 want = _base_and_filtered(dataset.series, method)
-            for got_graph, want_graph in zip(got[:2], want[:2]):
-                _assert_graphs_agree(got_graph, want_graph, dataset.truth)
-            verdicts = [[(e.cause, e.effect, e.lag, e.c, e.kept) for e in report.edges]
-                        for report in (got[2], want[2])]
-            assert verdicts[0] == verdicts[1]
-            for g, w in zip(got[2].edges, want[2].edges):
-                np.testing.assert_allclose([g.r0, *g.folds, g.v], [w.r0, *w.folds, w.v], rtol=1e-9, atol=0.0)
+            _assert_runs_agree(got, want, dataset.truth)
+
+
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("n, T", [(5, 300), (8, 1000), (15, 250), (15, 1000), (15, 4000)])
+def test_ordering_matches_the_lstsq_reference(monkeypatch, setting, n, T):
+    for dataset in benchmark_suite(setting, n, T, 3, 7):
+        residuals = fit_var(dataset.series, DiscovererConfig().max_lag).residuals
+        order, b0 = direct_lingam_order(residuals)
+        want_order, want_b0 = reference_direct_lingam_order(residuals)
+        assert order == want_order
+        np.testing.assert_array_equal(b0 != 0.0, want_b0 != 0.0)
+        assert np.abs(b0 - want_b0).max() <= 1e-12 * np.abs(want_b0).max()
+        got = _base_and_filtered(dataset.series, "varlingam")
+        with monkeypatch.context() as patched:
+            patched.setattr(discovery, "direct_lingam_order", reference_direct_lingam_order)
+            want = _base_and_filtered(dataset.series, "varlingam")
+        _assert_runs_agree(got, want, dataset.truth)
+
+
+@pytest.mark.parametrize("columns", [
+    pytest.param(lambda x, y, z: [x, x + 1e-4 * y, y], id="dependent"),
+    pytest.param(lambda x, y, z: [x, x + 1e-4 * y, z], id="near-copy"),
+    pytest.param(lambda x, y, z: [x, y, x - y + 1e-6 * z], id="near-sum"),
+])
+def test_ordering_matches_the_lstsq_reference_on_near_collinear_residuals(columns):
+    x, y, z = np.random.default_rng(0).laplace(size=(3, 2000))
+    outcomes = []
+    for order in (direct_lingam_order, reference_direct_lingam_order):
+        try:
+            outcomes.append(order(np.column_stack(columns(x, y, z))))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    assert np.abs(got[1] - want[1]).max() <= 1e-9 * np.abs(want[1]).max()
 
 
 @st.composite
