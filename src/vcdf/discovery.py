@@ -221,6 +221,8 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
         raise ValueError(f"need at least {10 * n} residual rows for {n} variables, got {rows}")
 
     work = E.copy()
+    # deflation[a, c]: the multiple of pivot c's work column taken out of column a
+    deflation = np.zeros((n, n))
     active = list(range(n))
     order: list[int] = []
     while active:
@@ -232,20 +234,17 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
             var = float(pivot.var())
             if var <= _ZERO_TOLERANCE:
                 raise ValueError("degenerate (near-constant) residual column")
-            pivot_mean = float(pivot.mean())
             rest = work[:, active]
-            covs = rest.mean(axis=0) * pivot_mean
-            covs = (rest * pivot[:, None]).mean(axis=0) - covs
-            work[:, active] = rest - np.outer(pivot, covs / var)
+            covs = (rest * pivot[:, None]).mean(axis=0) - rest.mean(axis=0) * float(pivot.mean())
+            deflation[active, chosen] = covs / var
+            work[:, active] = rest - np.outer(pivot, deflation[active, chosen])
 
+    # The final work columns W are each variable's residual on its predecessors:
+    # E = W (I + G)' and E (I - b0)' = W, so b0 = I - (I + G)^-1, row by row in order.
     b0 = np.zeros((n, n))
-    ones = np.ones((rows, 1))
     for idx in range(1, n):
-        target = order[idx]
-        predecessors = order[:idx]
-        Z = np.hstack([ones, E[:, predecessors]])
-        beta, _, _, _ = np.linalg.lstsq(Z, E[:, target], rcond=None)
-        b0[target, predecessors] = beta[1:]
+        target, preds = order[idx], order[:idx]
+        b0[target, preds] = deflation[target, preds] @ (np.eye(idx) - b0[np.ix_(preds, preds)])
     b0[np.abs(b0) < _ZERO_TOLERANCE] = 0.0
     return order, b0
 
