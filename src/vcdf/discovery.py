@@ -64,12 +64,23 @@ class VarFit(NamedTuple):
     intercept: np.ndarray
 
 
+def _independent(diag: np.ndarray, norms: np.ndarray, ratio: float) -> bool:
+    """Whether each diagonal entry of a design's triangular factor exceeds ``ratio`` of its column's norm and of the largest.
+
+    An entry of QR's R, or of the Cholesky factor of Z'Z, is the distance of
+    one design column from the span of the columns before it. Below ``ratio``
+    of its column's norm the column is a near-copy, whatever its scale (the
+    sine of its angle to that span); below ``ratio`` of the largest entry it is
+    tiny beside another column, such as the intercept. A NaN fails too.
+    """
+    return bool((diag > ratio * np.maximum(norms, diag.max())).all())
+
+
 def _qr_solve(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve min ||Z b - Y|| by QR; raises on rank-deficient regressors."""
     Q, R = np.linalg.qr(Z)
-    diag = np.abs(np.diag(R))
-    tol = (diag.max() if diag.size else 0.0) * max(Z.shape) * np.finfo(float).eps
-    if diag.size == 0 or diag.min() <= tol:
+    # R's column norms are Z's; hypot sums their squares without overflow.
+    if not _independent(np.abs(np.diag(R)), np.hypot.reduce(R, axis=0), max(Z.shape) * np.finfo(float).eps):
         raise ValueError(
             "rank-deficient regressor matrix (constant or duplicate columns, or too few rows)"
         )
@@ -77,14 +88,10 @@ def _qr_solve(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beta, R
 
 
-# Each diagonal entry of the Cholesky factor of Z'Z is the distance of one
-# design column from the span of the columns before it, as in QR's R. The fit
-# falls back to QR when an entry is below this share of its column's norm (the
-# sine of the column's angle to that span, whatever its scale: a near-copy) or
-# of the largest entry (a column tiny beside the intercept, which QR's rank
-# test, scaled to the largest entry, may reject). Refined once, the Cholesky
-# solution stays as close to the exact one as QR's down to this ratio; trended
-# n=15, T=4000 designs reach 1.2e-4.
+# The fit falls back to QR when a diagonal entry of the Cholesky factor of Z'Z
+# is not ``_independent`` at this ratio. Refined once, the Cholesky solution
+# stays as close to the exact one as QR's down to this ratio; trended n=15,
+# T=4000 designs reach 1.2e-4.
 _MIN_CHOLESKY_RATIO = 1e-5
 
 
@@ -95,9 +102,7 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             return None
-        diag = np.diag(L)
-        # Written so that a NaN or an overflow in the factor is rejected too.
-        usable = (diag >= _MIN_CHOLESKY_RATIO * np.maximum(np.sqrt(np.diag(gram)), diag.max())).all()
+        usable = _independent(np.diag(L), np.sqrt(np.diag(gram)), _MIN_CHOLESKY_RATIO)
     return L if usable else None
 
 

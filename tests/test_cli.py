@@ -220,6 +220,16 @@ def test_discover_computation_failure_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_discover_on_a_constant_column_exits_3_without_outputs(tmp_path, capsys):
+    constant = tmp_path / "c30.csv"
+    rows = "".join(f"57418.9,{b!r}\n" for b in np.random.default_rng(0).standard_normal(30).tolist())
+    constant.write_text("a,b\n" + rows)
+    out = tmp_path / "nothing"
+    assert run("discover", constant, "--method", "lagreg", "--max-lag", "1", "--out", out) == 3
+    assert "rank-deficient" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_discover_truth_of_another_variable_count_exits_2_without_outputs(dataset_dir, tmp_path, capsys):
     other = tmp_path / "other"
     assert run("generate", "--setting", "linear", "--n", "4", "--T", "300",

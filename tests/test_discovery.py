@@ -431,7 +431,7 @@ def lagged_design(values, p):
 
 
 def reference_lagged_ols(values, p):
-    """The original QR solve of _lagged_ols: the oracle for its Gram-matrix solve."""
+    """The QR solve of _lagged_ols, rank test two-sided as in ``_independent``: the oracle for its Gram solve."""
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
     T, n = values.shape
@@ -440,8 +440,8 @@ def reference_lagged_ols(values, p):
     Z, Y = lagged_design(values, p)
     Q, R = np.linalg.qr(Z)
     diag = np.abs(np.diag(R))
-    tol = (diag.max() if diag.size else 0.0) * max(Z.shape) * np.finfo(float).eps
-    if diag.size == 0 or diag.min() <= tol:
+    tol = max(Z.shape) * np.finfo(float).eps * np.maximum(np.hypot.reduce(R, axis=0), diag.max())
+    if (diag <= tol).any():
         raise ValueError(
             "rank-deficient regressor matrix (constant or duplicate columns, or too few rows)"
         )
@@ -618,6 +618,14 @@ def test_ols_core_matches_the_qr_reference_on_ill_conditioned_designs(case):
     # The coefficients may stray from it by QR's own distance plus 1e-8.
     refined = refined_by_qr(values, p, want)
     assert np.abs(got - refined).max() <= np.abs(want - refined).max() + 1e-8 * np.abs(want).max()
+
+
+def test_ols_core_rejects_a_constant_column_of_any_value():
+    # The constant's own norm, not the intercept's, sets the scale of its roundoff.
+    values = np.column_stack([np.full(30, 57418.9), np.random.default_rng(0).standard_normal(30)])
+    for solve in (_lagged_ols, reference_lagged_ols):
+        with pytest.raises(ValueError, match="rank-deficient"):
+            solve(values, 1)
 
 
 @pytest.mark.parametrize("noise, qr_calls", [(1e-7, 1), (1e-6, 1), (1e-4, 0), (1.0, 0)])
