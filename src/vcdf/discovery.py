@@ -214,7 +214,10 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
 
     Returns ``(order, b0)`` where ``order`` lists variables from most to least
     exogenous and ``b0[effect, cause]`` holds the OLS coefficients of each
-    variable on its predecessors (strictly triangular under ``order``).
+    variable on its predecessors (strictly triangular under ``order``). Each
+    chosen variable is regressed out of the remaining standardized columns
+    (modified Gram-Schmidt), and b0 is read off those regressions, so neither
+    the order nor b0 depends on the scale of the input columns.
     """
     E = np.asarray(residuals, dtype=float)
     if E.ndim != 2:
@@ -225,7 +228,12 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
     if rows < 10 * n:
         raise ValueError(f"need at least {10 * n} residual rows for {n} variables, got {rows}")
 
-    work = E.copy()
+    # Standardized once, so every degeneracy test below is relative to its column's scale.
+    centred = E - E.mean(axis=0)
+    scale = np.sqrt((centred * centred).mean(axis=0))
+    if not (scale > _ZERO_TOLERANCE * np.abs(E).max(axis=0)).all():
+        raise ValueError("degenerate (near-constant) residual column")
+    work = centred / scale
     # deflation[a, c]: the multiple of pivot c's work column taken out of column a
     deflation = np.zeros((n, n))
     active = list(range(n))
@@ -250,6 +258,7 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
     for idx in range(1, n):
         target, preds = order[idx], order[:idx]
         b0[target, preds] = deflation[target, preds] @ (np.eye(idx) - b0[np.ix_(preds, preds)])
+    b0 *= scale[:, None] / scale
     b0[np.abs(b0) < _ZERO_TOLERANCE] = 0.0
     return order, b0
 

@@ -192,6 +192,27 @@ def test_ordering_rejects_bad_residual_matrices():
         direct_lingam_order(np.column_stack([x, 2 * x, y]))
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-7, 1e5, 1e10])
+def test_ordering_rejects_degenerate_columns_at_any_scale(scale):
+    x, y = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 100))
+    for columns in ([np.full(100, 57418.9), y], [np.ones(100), y], [x, 2 * x, y]):
+        with pytest.raises(ValueError, match="degenerate"):
+            direct_lingam_order(scale * np.column_stack(columns))
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e-7, 1e5, 1e10])
+@pytest.mark.parametrize("method", ["varlingam", "lagreg"])
+def test_discoverers_do_not_depend_on_the_input_scale(method, scale):
+    discoverer = make_discoverer(method)
+    for setting in SETTINGS:
+        series = benchmark_suite(setting, 5, 300, 1, 0)[0].series
+        want = discoverer.discover(series).weight_map()
+        got = discoverer.discover(MultivariateSeries(scale * series.values, series.names)).weight_map()
+        assert got.keys() == want.keys()
+        for key, weight in got.items():
+            assert abs(weight - want[key]) <= 1e-9 * abs(want[key]), (setting, key)
+
+
 def _pairwise_select(work, active):
     """Reference: the pairwise loop of scalar entropy proxies that the vectorized ordering replaced."""
     def entropy(u):
