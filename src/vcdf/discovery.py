@@ -65,7 +65,7 @@ class VarFit(NamedTuple):
 
 
 def _independent(diag: np.ndarray, norms: np.ndarray, ratio: float) -> bool:
-    """Whether each diagonal entry of a design's triangular factor exceeds ``ratio`` of its column's norm and of the largest.
+    """Whether each factor diagonal entry exceeds ``ratio`` of its column's norm and of the largest entry.
 
     An entry of QR's R, or of the Cholesky factor of Z'Z, is the distance of
     one design column from the span of the columns before it. Below ``ratio``
@@ -79,8 +79,9 @@ def _independent(diag: np.ndarray, norms: np.ndarray, ratio: float) -> bool:
 def _qr_solve(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve min ||Z b - Y|| by QR; raises on rank-deficient regressors."""
     Q, R = np.linalg.qr(Z)
+    tol = max(Z.shape) * np.finfo(float).eps
     # R's column norms are Z's; hypot sums their squares without overflow.
-    if not _independent(np.abs(np.diag(R)), np.hypot.reduce(R, axis=0), max(Z.shape) * np.finfo(float).eps):
+    if not _independent(np.abs(np.diag(R)), np.hypot.reduce(R, axis=0), tol):
         raise ValueError(
             "rank-deficient regressor matrix (constant or duplicate columns, or too few rows)"
         )
@@ -252,8 +253,9 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
             deflation[active, chosen] = covs / var
             work[:, active] = rest - np.outer(pivot, deflation[active, chosen])
 
-    # The final work columns W are each variable's residual on its predecessors:
-    # E = W (I + G)' and E (I - b0)' = W, so b0 = I - (I + G)^-1, row by row in order.
+    # The final work columns W are the residuals of the standardized columns S on
+    # their predecessors. With G = deflation, S = W (I + G)' and S (I - b0)' = W,
+    # so b0 = I - (I + G)^-1, solved row by row in causal order.
     b0 = np.zeros((n, n))
     for idx in range(1, n):
         target, preds = order[idx], order[:idx]

@@ -184,20 +184,11 @@ def test_ordering_rejects_bad_residual_matrices():
         direct_lingam_order(np.full((100, 2), np.nan))
     with pytest.raises(ValueError, match="residual rows"):
         direct_lingam_order(np.zeros((15, 2)))
-    constant = np.column_stack([np.ones(100), np.arange(100.0)])
-    with pytest.raises(ValueError, match="degenerate"):
-        direct_lingam_order(constant)
     x, y = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 100))
-    with pytest.raises(ValueError, match="degenerate"):
-        direct_lingam_order(np.column_stack([x, 2 * x, y]))
-
-
-@pytest.mark.parametrize("scale", [1e-10, 1e-7, 1e5, 1e10])
-def test_ordering_rejects_degenerate_columns_at_any_scale(scale):
-    x, y = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 100))
-    for columns in ([np.full(100, 57418.9), y], [np.ones(100), y], [x, 2 * x, y]):
-        with pytest.raises(ValueError, match="degenerate"):
-            direct_lingam_order(scale * np.column_stack(columns))
+    for scale in (1.0, 1e-10, 1e-7, 1e5, 1e10):
+        for columns in ([np.ones(100), np.arange(100.0)], [np.full(100, 57418.9), y], [x, 2 * x, y]):
+            with pytest.raises(ValueError, match="degenerate"):
+                direct_lingam_order(scale * np.column_stack(columns))
 
 
 @pytest.mark.parametrize("scale", [1e-10, 1e-7, 1e5, 1e10])
