@@ -64,24 +64,15 @@ class VarFit(NamedTuple):
     intercept: np.ndarray
 
 
-def _independent(diag: np.ndarray, norms: np.ndarray, ratio: float) -> bool:
-    """Whether each factor diagonal entry exceeds ``ratio`` of its column's norm and of the largest entry.
-
-    An entry of QR's R, or of the Cholesky factor of Z'Z, is the distance of
-    one design column from the span of the columns before it. Below ``ratio``
-    of its column's norm the column is a near-copy, whatever its scale (the
-    sine of its angle to that span); below ``ratio`` of the largest entry it is
-    tiny beside another column, such as the intercept. A NaN fails too.
-    """
-    return bool((diag > ratio * np.maximum(norms, diag.max())).all())
-
-
 def _qr_solve(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve min ||Z b - Y|| by QR; raises on rank-deficient regressors."""
     Q, R = np.linalg.qr(Z)
     tol = max(Z.shape) * np.finfo(float).eps
-    # R's column norms are Z's; hypot sums their squares without overflow.
-    if not _independent(np.abs(np.diag(R)), np.hypot.reduce(R, axis=0), tol):
+    # An entry of R is the distance of one column from the span of the columns
+    # before it; below ``tol`` of the column's own norm the column is dependent,
+    # whatever its scale. R's column norms are Z's; hypot sums their squares
+    # without overflow. A NaN fails too.
+    if not (np.abs(np.diag(R)) > tol * np.hypot.reduce(R, axis=0)).all():
         raise ValueError(
             "rank-deficient regressor matrix (constant or duplicate columns, or too few rows)"
         )
@@ -90,7 +81,8 @@ def _qr_solve(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The fit falls back to QR when a diagonal entry of the Cholesky factor of Z'Z
-# is not ``_independent`` at this ratio. Refined once, the Cholesky solution
+# is not above this ratio of its column's norm (the sine of the column's angle
+# to the span of the columns before it). Refined once, the Cholesky solution
 # stays as close to the exact one as QR's down to this ratio; trended n=15,
 # T=4000 designs reach 1.2e-4.
 _MIN_CHOLESKY_RATIO = 1e-5
@@ -103,7 +95,7 @@ def _gram_factor(gram: np.ndarray) -> np.ndarray | None:
             L = np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
             return None
-        usable = _independent(np.diag(L), np.sqrt(np.diag(gram)), _MIN_CHOLESKY_RATIO)
+        usable = (np.diag(L) > _MIN_CHOLESKY_RATIO * np.sqrt(np.diag(gram))).all()
     return L if usable else None
 
 
@@ -140,6 +132,13 @@ def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.
     ones = np.ones((T - p, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.hstack([cross(M) for M in (ones, *lags)])
+    # Squares that overflow or underflow would pass for a dependent or a
+    # well-posed design alike; an all-zero column is left to the rank test.
+    lowest = np.finfo(float).tiny / np.finfo(float).eps
+    if not np.isfinite(gram).all() or ((np.diag(gram) < lowest) & (gram[0] != 0.0)).any():
+        raise ValueError(
+            f"series values out of range: a lagged column's sum of squares is not finite or below {lowest:.0e}"
+        )
     L = _gram_factor(gram)
     if L is None:
         Z = np.hstack([ones, *lags])
@@ -260,8 +259,9 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
     for idx in range(1, n):
         target, preds = order[idx], order[:idx]
         b0[target, preds] = deflation[target, preds] @ (np.eye(idx) - b0[np.ix_(preds, preds)])
-    b0 *= scale[:, None] / scale
+    # Clamped in standardized units, so the zero pattern is the same in any units.
     b0[np.abs(b0) < _ZERO_TOLERANCE] = 0.0
+    b0 *= scale[:, None] / scale
     return order, b0
 
 

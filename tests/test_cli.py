@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from vcdf import DiscovererConfig, VcdfConfig, read_graph_json, read_series_csv
+from vcdf import DiscovererConfig, MultivariateSeries, VcdfConfig, read_graph_json, read_series_csv, write_series_csv
 from vcdf.cli import derive_seed, main, render_bench_table
 
 
@@ -227,6 +227,19 @@ def test_discover_on_a_constant_column_exits_3_without_outputs(tmp_path, capsys)
     out = tmp_path / "nothing"
     assert run("discover", constant, "--method", "lagreg", "--max-lag", "1", "--out", out) == 3
     assert "rank-deficient" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("method", ["varlingam", "lagreg"])
+def test_discover_on_values_whose_squares_leave_the_float_range_exits_3_without_outputs(
+        method, scale, dataset_dir, tmp_path, capsys):
+    series = read_series_csv(dataset_dir / "series_000.csv")
+    scaled = tmp_path / "scaled.csv"
+    write_series_csv(MultivariateSeries(scale * series.values, series.names), scaled)
+    out = tmp_path / "nothing"
+    assert run("discover", scaled, "--method", method, "--out", out) == 3
+    assert "out of range" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -191,7 +191,7 @@ def test_ordering_rejects_bad_residual_matrices():
                 direct_lingam_order(scale * np.column_stack(columns))
 
 
-@pytest.mark.parametrize("scale", [1e-10, 1e-7, 1e5, 1e10])
+@pytest.mark.parametrize("scale", [1e-100, 1e-16, 1e-14, 1e-10, 1e-7, 1e5, 1e10, 1e14, 1e16, 1e100])
 @pytest.mark.parametrize("method", ["varlingam", "lagreg"])
 def test_discoverers_do_not_depend_on_the_input_scale(method, scale):
     discoverer = make_discoverer(method)
@@ -202,6 +202,30 @@ def test_discoverers_do_not_depend_on_the_input_scale(method, scale):
         assert got.keys() == want.keys()
         for key, weight in got.items():
             assert abs(weight - want[key]) <= 1e-9 * abs(want[key]), (setting, key)
+
+
+@pytest.mark.parametrize("method", ["varlingam", "lagreg"])
+def test_discoverers_do_not_depend_on_the_units_of_each_column(method):
+    # Unpruned, so every estimated edge is compared: a weight from cause i to
+    # effect j is in units of x_j per x_i and rescales by d_j / d_i.
+    factors = np.array([1e8, 1e-8, 1.0, 1e4, 1e-4])
+    discoverer = make_discoverer(method, DiscovererConfig(prune_threshold=0.0))
+    for setting in SETTINGS:
+        series = benchmark_suite(setting, 5, 300, 1, 0)[0].series
+        want = discoverer.discover(series).weight_map()
+        got = discoverer.discover(MultivariateSeries(series.values * factors, series.names)).weight_map()
+        assert got.keys() == want.keys(), setting
+        for (cause, effect, lag), weight in want.items():
+            expected = weight * factors[effect] / factors[cause]
+            assert abs(got[cause, effect, lag] - expected) <= 1e-9 * abs(expected), (setting, cause, effect, lag)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+@pytest.mark.parametrize("method", ["varlingam", "lagreg"])
+def test_discoverers_reject_a_series_whose_squares_leave_the_float_range(method, scale):
+    series = benchmark_suite("linear", 5, 300, 1, 0)[0].series
+    with pytest.raises(ValueError, match="out of range"):
+        make_discoverer(method).discover(MultivariateSeries(scale * series.values, series.names))
 
 
 def _pairwise_select(work, active):
@@ -443,7 +467,12 @@ def lagged_design(values, p):
 
 
 def reference_lagged_ols(values, p):
-    """The QR solve of _lagged_ols, rank test two-sided as in ``_independent``: the oracle for its Gram solve."""
+    """The QR solve of _lagged_ols: the oracle for its Gram solve.
+
+    Its rank test also fails an entry of R below max(rows, columns)·eps of the
+    largest entry, as ``_qr_solve``'s once did, so it rejects a well-posed
+    design whose columns differ in magnitude by more than about 1/(rows·eps).
+    """
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
     T, n = values.shape
@@ -614,13 +643,24 @@ def refined_by_qr(values, p, beta):
 @given(case=ill_conditioned_values())
 def test_ols_core_matches_the_qr_reference_on_ill_conditioned_designs(case):
     values, p = case
+    # The oracle and its yardstick see each column divided by the power of two
+    # at its largest magnitude, which is exact, as is mapping their
+    # coefficients back: cause i on effect j (and j's intercept) times 2**(e_j - e_i).
+    e = np.frexp(np.abs(values).max(axis=0))[1]
+    scaled = np.ldexp(values, -e)
+    back = e - np.concatenate([[0], np.tile(e, p)])[:, None]
     outcomes = []
-    for solve in (_lagged_ols, reference_lagged_ols):
+    for solve in (lambda: _lagged_ols(values, p)[0], lambda: reference_lagged_ols(scaled, p)[0]):
         try:
-            outcomes.append(solve(values, p)[0])
+            outcomes.append(solve())
         except ValueError as exc:
             outcomes.append(str(exc))
     got, want = outcomes
+    if isinstance(got, str) and "out of range" in got:
+        # Only the squares of a column far from 1 overflow or underflow.
+        magnitude = np.abs(values).max(axis=0)
+        assert ((magnitude > 1e140) | ((magnitude > 0.0) & (magnitude < 1e-140))).any()
+        return
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
         return
@@ -628,16 +668,22 @@ def test_ols_core_matches_the_qr_reference_on_ill_conditioned_designs(case):
     # with a large offset QR itself is off by up to 7e-8 of the largest
     # coefficient, the refined solution by 5e-9 (against 60-digit arithmetic).
     # The coefficients may stray from it by QR's own distance plus 1e-8.
-    refined = refined_by_qr(values, p, want)
+    refined = np.ldexp(refined_by_qr(scaled, p, want), back)
+    want = np.ldexp(want, back)
     assert np.abs(got - refined).max() <= np.abs(want - refined).max() + 1e-8 * np.abs(want).max()
 
 
 def test_ols_core_rejects_a_constant_column_of_any_value():
-    # The constant's own norm, not the intercept's, sets the scale of its roundoff.
-    values = np.column_stack([np.full(30, 57418.9), np.random.default_rng(0).standard_normal(30)])
-    for solve in (_lagged_ols, reference_lagged_ols):
+    # The constant's own norm, not the intercept's, sets the scale of its
+    # roundoff. Far enough from 1, its squares leave the float range: an error of its own.
+    noise = np.random.default_rng(0).standard_normal(30)
+    for value, match in ((0.0, "rank-deficient"), (1.0, "rank-deficient"), (57418.9, "rank-deficient"),
+                         (3.4e-159, "out of range"), (1e-200, "out of range"), (1e200, "out of range")):
+        values = np.column_stack([np.full(30, value), noise])
+        with pytest.raises(ValueError, match=match):
+            _lagged_ols(values, 1)
         with pytest.raises(ValueError, match="rank-deficient"):
-            solve(values, 1)
+            reference_lagged_ols(values, 1)
 
 
 @pytest.mark.parametrize("noise, qr_calls", [(1e-7, 1), (1e-6, 1), (1e-4, 0), (1.0, 0)])
