@@ -173,12 +173,13 @@ def _entropy(u: np.ndarray) -> np.ndarray:
     return (1.0 + math.log(2.0 * math.pi)) / 2.0 - _K1 * (log_cosh - _GAMMA) ** 2 - _K2 * gauss**2
 
 
-def _standardized_rows(x: np.ndarray) -> np.ndarray:
-    centred = x - x.mean(axis=1, keepdims=True)
-    std = np.sqrt((centred * centred).mean(axis=1, keepdims=True))
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Centred rows of ``x`` over their deviations, which must exceed 1e-12: the
+    ordering's one degeneracy rule, as every work column starts at deviation 1."""
+    std = np.sqrt((x * x).mean(axis=1, keepdims=True))
     if (std <= _ZERO_TOLERANCE).any():
         raise ValueError("degenerate (near-constant) residual column")
-    return centred / std
+    return x / std
 
 
 def _select_exogenous(work: np.ndarray, active: list[int]) -> int:
@@ -189,19 +190,18 @@ def _select_exogenous(work: np.ndarray, active: list[int]) -> int:
     direction; the candidate minimising the squared negative part wins,
     with ties broken toward the lowest variable index.
 
-    The residuals of one candidate on every other active variable form one
-    (m - 1, T) slab, so memory stays O(T*m).
+    The rows stay centred, so one product gives every correlation. A
+    candidate's residuals form one (m - 1, T) slab: memory is O(T*m).
     """
-    x = _standardized_rows(work.T[active])
+    x = _unit_rows(work.T[active])
     entropy = _entropy(x)
     m = len(active)
+    corr = x @ x.T / x.shape[1]
     # residual_entropy[i, j]: entropy proxy of variable i's residual on variable j
     residual_entropy = np.zeros((m, m))
     for i in range(m):
         others = np.arange(m) != i
-        rest = x[others]
-        corr = (x[i] * rest).mean(axis=1, keepdims=True)
-        residual_entropy[i, others] = _entropy(_standardized_rows(x[i] - corr * rest))
+        residual_entropy[i, others] = _entropy(_unit_rows(x[i] - corr[i, others, None] * x[others]))
     direction = (entropy[None, :] + residual_entropy) - (entropy[:, None] + residual_entropy.T)
     scores = np.square(np.minimum(direction, 0.0)).sum(axis=1)
     if not np.isfinite(scores).all():
@@ -243,13 +243,11 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
         order.append(chosen)
         active.remove(chosen)
         if active:
+            # The pivot passed the degeneracy rule in this step's selection.
             pivot = work[:, chosen]
-            var = float(pivot.var())
-            if var <= _ZERO_TOLERANCE:
-                raise ValueError("degenerate (near-constant) residual column")
             rest = work[:, active]
             covs = (rest * pivot[:, None]).mean(axis=0) - rest.mean(axis=0) * float(pivot.mean())
-            deflation[active, chosen] = covs / var
+            deflation[active, chosen] = covs / float(pivot.var())
             work[:, active] = rest - np.outer(pivot, deflation[active, chosen])
 
     # The final work columns W are the residuals of the standardized columns S on

@@ -130,7 +130,7 @@ class MultivariateSeries:
         return self.names == other.names and np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WindowGraph:
     """Lag-indexed weighted digraph over ``n`` positionally indexed variables.
 
@@ -170,14 +170,6 @@ class WindowGraph:
 
     def edge_keys(self) -> set[tuple[int, int, int]]:
         return {edge.key for edge in self.edges}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WindowGraph):
-            return NotImplemented
-        return (self.n, self.max_lag, self.edges) == (other.n, other.max_lag, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.max_lag, self.edges))
 
 
 @dataclass(frozen=True)

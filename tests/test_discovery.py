@@ -252,13 +252,21 @@ def _pairwise_select(work, active):
     return active[int(np.argmin(scores))]
 
 
-@pytest.mark.parametrize("m, T", [(2, 200), (4, 500), (7, 1000)])
-def test_select_exogenous_matches_the_pairwise_loop(m, T):
+@pytest.mark.parametrize("m, T, near_copy", [
+    (2, 200, False), (4, 500, False), (7, 1000, False),
+    # One active column is another plus 1e-6 noise, where the residual slabs cancel most.
+    (4, 500, True),
+])
+def test_select_exogenous_matches_the_pairwise_loop(m, T, near_copy):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         e = rng.laplace(size=(T, m + 1)) ** 3
         work = e @ np.triu(rng.uniform(-1.0, 1.0, size=(m + 1, m + 1)))
         active = sorted(rng.choice(m + 1, size=m, replace=False).tolist())
+        if near_copy:
+            work[:, active[1]] = work[:, active[0]] + 1e-6 * rng.laplace(size=T)
+        # The ordering hands over centred work columns.
+        work -= work.mean(axis=0)
         assert _select_exogenous(work, active) == _pairwise_select(work, active)
 
 
@@ -501,7 +509,8 @@ def reference_direct_lingam_order(residuals):
     if rows < 10 * n:
         raise ValueError(f"need at least {10 * n} residual rows for {n} variables, got {rows}")
 
-    work = E.copy()
+    # Centred, as _select_exogenous expects; the lstsq b0 below reads E itself.
+    work = E - E.mean(axis=0)
     active = list(range(n))
     order: list[int] = []
     while active:
@@ -511,8 +520,6 @@ def reference_direct_lingam_order(residuals):
         if active:
             pivot = work[:, chosen]
             var = float(pivot.var())
-            if var <= discovery._ZERO_TOLERANCE:
-                raise ValueError("degenerate (near-constant) residual column")
             pivot_mean = float(pivot.mean())
             rest = work[:, active]
             covs = rest.mean(axis=0) * pivot_mean
@@ -607,6 +614,18 @@ def test_ordering_matches_the_lstsq_reference_on_near_collinear_residuals(column
         return
     assert got[0] == want[0]
     assert np.abs(got[1] - want[1]).max() <= 1e-9 * np.abs(want[1]).max()
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-9])
+def test_varlingam_fits_a_series_with_a_near_sum_column(eps):
+    # Column 2 is column 0 + column 1 + eps noise: once both are regressed out
+    # of it, its work column keeps a deviation near eps, which is not degenerate
+    # wherever it falls in the order.
+    for seed in range(10):
+        series = benchmark_suite("non_gaussian", 5, 1000, 1, seed)[0].series
+        values = series.values.copy()
+        values[:, 2] = values[:, 0] + values[:, 1] + eps * np.random.default_rng(seed).laplace(size=len(values))
+        make_discoverer("varlingam").discover(MultivariateSeries(values, series.names))
 
 
 @st.composite
