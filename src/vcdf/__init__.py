@@ -8,7 +8,6 @@ magnitude is unstable across folds.
 
 from .consensus import (
     EdgeStability,
-    FoldPlan,
     StabilityReport,
     VcdfConfig,
     directional_consistency,
@@ -36,7 +35,6 @@ from .evaluation import AggregateStats, F1Result, aggregate, summary_f1, window_
 from .series import (
     Edge,
     MultivariateSeries,
-    SummaryGraph,
     WindowGraph,
     graph_from_json,
     graph_to_json,
@@ -72,14 +70,12 @@ __all__ = [
     "Edge",
     "EdgeStability",
     "F1Result",
-    "FoldPlan",
     "LabeledDataset",
     "LaggedRegressionDiscoverer",
     "MultivariateSeries",
     "SETTINGS",
     "ScmSpec",
     "StabilityReport",
-    "SummaryGraph",
     "VarFit",
     "VarLingamDiscoverer",
     "VcdfConfig",

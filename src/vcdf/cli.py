@@ -78,11 +78,13 @@ def derive_seed(master: int, task: str) -> int:
 
 
 def _read(reader, path, what: str):
-    """``reader(path)``, with a missing file or malformed content turned into a usage error."""
+    """``reader(path)``, with an unreadable file or malformed content turned into a usage error."""
     try:
         return reader(path)
     except FileNotFoundError:
         raise UsageError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"{what} file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} file {path}: malformed JSON: {exc}") from None
     except UnicodeDecodeError as exc:

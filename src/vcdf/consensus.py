@@ -53,51 +53,25 @@ class VcdfConfig:
             raise ValueError(f"epsilon must be a positive finite value, got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Contiguous validation blocks partitioning 0..length-1 into k folds."""
-
-    length: int
-    blocks: tuple[tuple[int, int], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    def validation_block(self, fold: int) -> tuple[int, int]:
-        return self.blocks[fold]
-
-    def training_segments(self, fold: int) -> tuple[tuple[int, int], ...]:
-        start, end = self.blocks[fold]
-        segments = []
-        if start > 0:
-            segments.append((0, start))
-        if end < self.length:
-            segments.append((end, self.length))
-        return tuple(segments)
-
-
-def make_fold_plan(length: int, k: int) -> FoldPlan:
-    """Split 0..length-1 into k contiguous blocks whose sizes differ by at most one."""
+def make_fold_plan(length: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Split 0..length-1 into k contiguous (start, end) blocks whose sizes differ by at most one."""
     if k < 2:
         raise ValueError(f"need k >= 2 folds, got {k}")
     if k > length:
         raise ValueError(f"cannot cut {length} steps into {k} folds")
-    blocks = tuple(
-        (b * length // k, (b + 1) * length // k)
-        for b in range(k)
-    )
-    return FoldPlan(length, blocks)
+    return tuple((b * length // k, (b + 1) * length // k) for b in range(k))
 
 
-def extract_training(series: MultivariateSeries, plan: FoldPlan, fold: int) -> MultivariateSeries:
+def extract_training(
+    series: MultivariateSeries, plan: tuple[tuple[int, int], ...], fold: int
+) -> MultivariateSeries:
     """The series with the fold's validation block removed, remaining rows in order."""
-    if plan.length != series.n_steps:
-        raise ValueError(f"fold plan covers {plan.length} steps but series has {series.n_steps}")
-    if not 0 <= fold < plan.k:
-        raise ValueError(f"fold index {fold} outside 0..{plan.k - 1}")
-    parts = [series.values[s:e] for s, e in plan.training_segments(fold)]
-    return MultivariateSeries(np.vstack(parts), series.names)
+    if plan[-1][1] != series.n_steps:
+        raise ValueError(f"fold plan covers {plan[-1][1]} steps but series has {series.n_steps}")
+    if not 0 <= fold < len(plan):
+        raise ValueError(f"fold index {fold} outside 0..{len(plan) - 1}")
+    start, end = plan[fold]
+    return MultivariateSeries(np.vstack((series.values[:start], series.values[end:])), series.names)
 
 
 def _sign(x: float) -> int:
@@ -204,6 +178,14 @@ def stability_report_from_json(text: str) -> StabilityReport:
         raise ValueError(f"malformed stability report JSON: {exc}") from None
     parts = require_fields("stability report", doc, {"config": dict, "edges": list})
     config = VcdfConfig(**require_fields("stability report config", parts["config"], _CONFIG_KINDS))
-    edges = tuple(EdgeStability(**require_fields(f"stability report edge {idx}", item, _EDGE_KINDS))
-                  for idx, item in enumerate(parts["edges"]))
-    return StabilityReport(config, edges)
+    edges = {}
+    for idx, item in enumerate(parts["edges"]):
+        where = f"stability report edge {idx}"
+        edge = EdgeStability(**require_fields(where, item, _EDGE_KINDS))
+        if len(edge.folds) != config.k:
+            raise ValueError(f"{where}: {len(edge.folds)} fold estimates but k = {config.k}")
+        key = (edge.cause, edge.effect, edge.lag)
+        if key in edges:
+            raise ValueError(f"{where}: duplicate edge for (cause, effect, lag) = {key}")
+        edges[key] = edge
+    return StabilityReport(config, tuple(edges.values()))

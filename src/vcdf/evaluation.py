@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .series import WindowGraph, summarize
 
@@ -34,7 +34,7 @@ class AggregateStats:
     count: int
 
 
-def _f1_from_sets(predicted: set, truth: set) -> F1Result:
+def _f1_from_sets(predicted: AbstractSet, truth: AbstractSet) -> F1Result:
     tp = len(predicted & truth)
     fp = len(predicted - truth)
     fn = len(truth - predicted)
@@ -67,7 +67,7 @@ def summary_f1(predicted: WindowGraph, truth: WindowGraph) -> F1Result:
     """F1 over (cause, effect) pairs after collapsing every lag stratum."""
     if predicted.n != truth.n:
         raise ValueError(f"variable count mismatch: predicted n={predicted.n}, truth n={truth.n}")
-    return _f1_from_sets(set(summarize(predicted).edges), set(summarize(truth).edges))
+    return _f1_from_sets(summarize(predicted), summarize(truth))
 
 
 def aggregate(results: Sequence[F1Result]) -> AggregateStats:

@@ -172,26 +172,9 @@ class WindowGraph:
         return {edge.key for edge in self.edges}
 
 
-@dataclass(frozen=True)
-class SummaryGraph:
-    """Unweighted digraph recording which variable pairs interact at any lag."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs n >= 1, got {self.n}")
-        edges = frozenset((int(c), int(e)) for c, e in self.edges)
-        for cause, effect in edges:
-            if not (0 <= cause < self.n and 0 <= effect < self.n):
-                raise ValueError(f"edge ({cause}, {effect}) references a variable outside 0..{self.n - 1}")
-        object.__setattr__(self, "edges", edges)
-
-
-def summarize(window: WindowGraph) -> SummaryGraph:
+def summarize(window: WindowGraph) -> frozenset[tuple[int, int]]:
     """Collapse a lag-indexed graph to the set of (cause, effect) pairs linked at any lag."""
-    return SummaryGraph(window.n, frozenset((e.cause, e.effect) for e in window.edges))
+    return frozenset((e.cause, e.effect) for e in window.edges)
 
 
 def instantaneous_order(n: int, edges: Iterable[Edge]) -> list[int]:

@@ -131,8 +131,8 @@ def test_criterion_2_metric_unit_oracles():
         for T in range(2, 51):
             for k in range(2, T + 1):
                 plan = make_fold_plan(T, k)
-                covered = [idx for start, end in plan.blocks for idx in range(start, end)]
-                lengths = [end - start for start, end in plan.blocks]
+                covered = [idx for start, end in plan for idx in range(start, end)]
+                lengths = [end - start for start, end in plan]
                 if covered != list(range(T)) or max(lengths) - min(lengths) > 1:
                     plan_bad = f"T={T}, k={k}"
                     break

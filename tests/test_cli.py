@@ -178,6 +178,24 @@ def test_non_utf8_input_exits_2_naming_the_file(name, dataset_dir, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("role", ["series", "truth", "config", "graph"])
+def test_input_that_is_a_directory_exits_2_naming_its_role(role, dataset_dir, tmp_path, capsys):
+    # Only a directory is tested: a permission error cannot be provoked when the tests run as root.
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    out = tmp_path / "nothing"
+    series, truth = dataset_dir / "series_000.csv", dataset_dir / "truth_000.json"
+    argv = {
+        "series": ["discover", folder, "--out", out],
+        "truth": ["discover", series, "--truth", folder, "--out", out],
+        "config": ["generate", "--config", folder, "--out", out],
+        "graph": ["evaluate", folder, truth, "--out", out / "metrics.json"],
+    }[role]
+    assert run(*argv) == 2
+    assert f"error: {role} file {folder}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_discover_config_value_of_the_wrong_type_exits_2(dataset_dir, tmp_path, capsys):
     config = tmp_path / "config.json"
     out = tmp_path / "nothing"

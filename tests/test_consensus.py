@@ -103,20 +103,20 @@ def test_config_allows_infinite_tau_v():
 
 def test_fold_plan_even_division():
     plan = make_fold_plan(10, 5)
-    assert plan.blocks == ((0, 2), (2, 4), (4, 6), (6, 8), (8, 10))
+    assert plan == ((0, 2), (2, 4), (4, 6), (6, 8), (8, 10))
 
 
 def test_fold_plan_uneven_division():
     plan = make_fold_plan(11, 5)
-    assert plan.blocks == ((0, 2), (2, 4), (4, 6), (6, 8), (8, 11))
+    assert plan == ((0, 2), (2, 4), (4, 6), (6, 8), (8, 11))
 
 
 def test_fold_plan_singleton_blocks():
     plan = make_fold_plan(5, 5)
-    assert plan.blocks == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+    assert plan == ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5))
+    series = MultivariateSeries(np.zeros((5, 1)), ("v",))
     for fold in range(5):
-        segments = plan.training_segments(fold)
-        assert sum(e - s for s, e in segments) == 4
+        assert extract_training(series, plan, fold).n_steps == 4
 
 
 def test_fold_plan_bounds():
@@ -134,13 +134,13 @@ def test_fold_plan_partitions_the_index_range(T, k):
             make_fold_plan(T, k)
         return
     plan = make_fold_plan(T, k)
-    assert plan.k == k
+    assert len(plan) == k
     covered = []
-    for start, end in plan.blocks:
+    for start, end in plan:
         assert 0 <= start < end <= T
         covered.extend(range(start, end))
     assert covered == list(range(T))  # disjoint, ordered, exhaustive
-    lengths = {end - start for start, end in plan.blocks}
+    lengths = {end - start for start, end in plan}
     assert max(lengths) - min(lengths) <= 1
 
 
@@ -166,7 +166,7 @@ def test_training_length_complements_validation(T, k):
     series = MultivariateSeries(values, ("v",))
     plan = make_fold_plan(T, k)
     for fold in range(k):
-        start, end = plan.validation_block(fold)
+        start, end = plan[fold]
         training = extract_training(series, plan, fold)
         assert training.n_steps == T - (end - start)
         expected = np.concatenate([np.arange(0, start), np.arange(end, T)])
@@ -396,6 +396,7 @@ def test_report_json_rejects_garbage():
     config = {"k": 5, "tau_c": 0.4, "tau_v": 0.4, "w": 0.0, "epsilon": 1e-8}
     edge = {"cause": 0, "effect": 1, "lag": 1, "r0": 0.5, "folds": [0.5, 0.5], "c": 1.0, "v": 0.0, "kept": True}
     no_cause = {name: value for name, value in edge.items() if name != "cause"}
+    five_folds = {**edge, "folds": [0.5] * 5}
     for text, fragment in (
         ("[1, 2, 3]", "must be an object"),
         ("{not json", "malformed"),
@@ -413,6 +414,11 @@ def test_report_json_rejects_garbage():
         (json.dumps({"config": config, "edges": [{**edge, "folds": "12345"}]}), "'folds' must be an array"),
         (json.dumps({"config": config, "edges": [{**edge, "folds": {"1": 0}}]}), "'folds' must be an array"),
         (json.dumps({"config": config, "edges": [no_cause]}), "edge 0: missing the 'cause' field"),
+        (json.dumps({"config": config, "edges": [edge]}), r"edge 0: 2 fold estimates but k = 5"),
+        (json.dumps({"config": config, "edges": [five_folds, {**five_folds, "folds": [0.5] * 6}]}),
+         r"edge 1: 6 fold estimates but k = 5"),
+        (json.dumps({"config": config, "edges": [five_folds, five_folds]}),
+         r"edge 1: duplicate edge for \(cause, effect, lag\) = \(0, 1, 1\)"),
     ):
         with pytest.raises(ValueError, match=fragment):
             stability_report_from_json(text)

@@ -11,7 +11,6 @@ from vcdf import series as series_module
 from vcdf import (
     Edge,
     MultivariateSeries,
-    SummaryGraph,
     WindowGraph,
     graph_from_json,
     graph_to_json,
@@ -115,7 +114,7 @@ def test_series_equality_is_by_value():
 
 
 # ---------------------------------------------------------------------------
-# WindowGraph / SummaryGraph
+# WindowGraph / summarize
 # ---------------------------------------------------------------------------
 
 def test_window_graph_sorted_edges_and_weight_map():
@@ -159,7 +158,7 @@ def test_summarize_collapses_lags():
         Edge(0, 1, 1, 0.4), Edge(0, 1, 3, -0.2), Edge(2, 1, 0, 0.9), Edge(1, 2, 2, 0.1),
     }))
     s = summarize(g)
-    assert s == SummaryGraph(n=3, edges=frozenset({(0, 1), (2, 1), (1, 2)}))
+    assert s == frozenset({(0, 1), (2, 1), (1, 2)})
 
 
 def test_graph_equality_and_hash_by_content():
