@@ -4,7 +4,8 @@ Every run is reproducible from a single master seed: each task derives its own
 seed as the first 8 bytes of sha256("<seed>:<task name>"), and realization i
 within a task adds i to the task seed.
 
-Exit codes: 0 success, 2 usage or input parsing failure, 3 computation failure.
+Exit codes: 0 success, 3 when the base method or the filter failed on valid inputs or an
+output could not be written, 2 for every other error.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ GENERATE_KEYS = {
 }
 
 
-class UsageError(Exception):
-    """Bad arguments, configs or unreadable/malformed inputs (exit code 2)."""
+class ComputeError(Exception):
+    """The base method or the filter failed on valid inputs (exit code 3)."""
 
 
 def derive_seed(master: int, task: str) -> int:
@@ -78,19 +79,17 @@ def derive_seed(master: int, task: str) -> int:
 
 
 def _read(reader, path, what: str):
-    """``reader(path)``, with an unreadable file or malformed content turned into a usage error."""
+    """``reader(path)``, with an unreadable file or undecodable text turned into a ValueError naming it."""
     try:
         return reader(path)
     except FileNotFoundError:
-        raise UsageError(f"{what} file not found: {path}") from None
+        raise ValueError(f"{what} file not found: {path}") from None
     except OSError as exc:
-        raise UsageError(f"{what} file {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"{what} file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path}: malformed JSON: {exc}") from None
+        raise ValueError(f"{what} file {path}: malformed JSON: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{what} file {path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(f"{what} file {path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _dump(doc) -> str:
@@ -100,7 +99,7 @@ def _dump(doc) -> str:
 def _load_config_file(path: str, allowed) -> dict:
     doc = _read(lambda p: json.loads(Path(p).read_text(encoding="utf-8")), path, "config")
     if not isinstance(doc, dict):
-        raise UsageError(f"config file {path}: top level must be an object")
+        raise ValueError(f"config file {path}: top level must be an object")
     _reject_unknown_keys(doc, allowed, f"config file {path}")
     return doc
 
@@ -108,7 +107,7 @@ def _load_config_file(path: str, allowed) -> dict:
 def _reject_unknown_keys(doc: dict, allowed, where: str) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
-        raise UsageError(f"{where}: unknown keys: {', '.join(unknown)}")
+        raise ValueError(f"{where}: unknown keys: {', '.join(unknown)}")
 
 
 def _resolve(kind: type, flag_value, config: dict, key: str, default):
@@ -116,41 +115,27 @@ def _resolve(kind: type, flag_value, config: dict, key: str, default):
     value = flag_value if flag_value is not None else config.get(key)
     if value is None:
         if default is None:
-            raise UsageError(f"requires --{key} (or {key!r} in --config)")
+            raise ValueError(f"requires --{key} (or {key!r} in --config)")
         return default
     # A hand-written config may spell an integer as a whole float, "T": 300.0.
     value = int(value) if kind is int and isinstance(value, float) and value.is_integer() else value
-    try:
-        return require_kind(f"config key {key!r}", value, kind)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return require_kind(f"config key {key!r}", value, kind)
 
 
 def _section(cls, args, sub, key: str):
     """A ``cls`` whose every field is its flag, else its entry in config section ``key``, else its default."""
     if not isinstance(sub, dict):
-        raise UsageError(f"config key {key!r} must be an object")
+        raise ValueError(f"config key {key!r} must be an object")
     _reject_unknown_keys(sub, [f.name for f in fields(cls)], f"config key {key!r}")
     values = {f.name: _resolve(type(f.default), getattr(args, f.name), sub, f.name, f.default) for f in fields(cls)}
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _suite(setting: str, n: int, T: int, realizations: int, seed: int, **options) -> list:
-    """``benchmark_suite``, with a value it rejects turned into a usage error."""
-    try:
-        return benchmark_suite(setting, n, T, realizations, seed, **options)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return cls(**values)
 
 
 def _vcdf_section(config: dict) -> dict | None:
     """The config's 'vcdf' thresholds: true or an object turns the filter on, false or null leaves it off."""
     sub = config.get("vcdf")
     if not (sub is None or isinstance(sub, (bool, dict))):
-        raise UsageError(f"config key 'vcdf' must be true, false or an object, got {sub!r}")
+        raise ValueError(f"config key 'vcdf' must be true, false or an object, got {sub!r}")
     return {} if sub is True else None if sub is False else sub
 
 
@@ -163,11 +148,11 @@ def cmd_generate(args) -> int:
     params = {key: _resolve(kind, getattr(args, key), config, key, default)
               for key, (kind, default, _) in GENERATE_KEYS.items()}
     if params["setting"] not in SETTINGS:
-        raise UsageError(f"unknown setting {params['setting']!r}, expected one of {', '.join(SETTINGS)}")
+        raise ValueError(f"unknown setting {params['setting']!r}, expected one of {', '.join(SETTINGS)}")
     out_dir = Path(params.pop("out"))
     task = f"generate:{params['setting']}"
     suite_seed = derive_seed(params["seed"], task)
-    suite = _suite(**{**params, "seed": suite_seed})
+    suite = benchmark_suite(**{**params, "seed": suite_seed})
 
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -192,7 +177,7 @@ def cmd_discover(args) -> int:
     config = _load_config_file(args.config, {"method", "vcdf", "discoverer", "out"}) if args.config else {}
     method = _resolve(str, args.method, config, "method", "varlingam")
     if method not in DISCOVERERS:
-        raise UsageError(f"unknown method {method!r}, expected one of {', '.join(sorted(DISCOVERERS))}")
+        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(sorted(DISCOVERERS))}")
     disc_config = _section(DiscovererConfig, args, config.get("discoverer", {}), "discoverer")
     vcdf_sub = _vcdf_section(config)
     use_vcdf = args.vcdf or vcdf_sub is not None
@@ -202,8 +187,8 @@ def cmd_discover(args) -> int:
     # Load and validate every input before producing any output file.
     series = _read(read_series_csv, args.series, "series")
     truth = _read(read_graph_json, args.truth, "truth") if args.truth else None
-    if truth is not None:
-        _require_same_n("series", series.n_vars, truth)
+    if truth is not None and truth.n != series.n_vars:
+        raise ValueError(f"variable count mismatch: series n={series.n_vars}, truth n={truth.n}")
 
     base = make_discoverer(method, disc_config)
     started = time.perf_counter()
@@ -237,15 +222,16 @@ def cmd_discover(args) -> int:
 
 
 def _estimate(series, base, vcdf_config: VcdfConfig | None):
-    """(graph, stability report): the base method's graph and no report, or its stability-filtered graph."""
-    if vcdf_config is None:
-        return base.discover(series), None
-    return run_vcdf(series, base, vcdf_config)
+    """(graph, stability report): the base method's graph and no report, or its stability-filtered graph.
 
-
-def _require_same_n(what: str, n: int, truth: WindowGraph) -> None:
-    if truth.n != n:
-        raise UsageError(f"variable count mismatch: {what} n={n}, truth n={truth.n}")
+    The one computation the CLI runs, so the one place a ValueError is a failed computation.
+    """
+    try:
+        if vcdf_config is None:
+            return base.discover(series), None
+        return run_vcdf(series, base, vcdf_config)
+    except ValueError as exc:
+        raise ComputeError(str(exc)) from exc
 
 
 def _f1_doc(result: F1Result) -> dict:
@@ -271,7 +257,6 @@ def _metrics_doc(predicted: WindowGraph, truth: WindowGraph) -> dict:
 def cmd_evaluate(args) -> int:
     predicted = _read(read_graph_json, args.graph, "graph")
     truth = _read(read_graph_json, args.truth, "truth")
-    _require_same_n("predicted", predicted.n, truth)
     text = _dump(_metrics_doc(predicted, truth))
     print(text, end="")
     if args.out:
@@ -309,7 +294,7 @@ def cmd_bench(args) -> int:
     grid = _bench_grid(args.preset, args.setting)
     # Every cell's datasets are drawn before any fit, so an out-of-range value fails first.
     seeds = {(setting, T): derive_seed(args.seed, f"bench:{args.preset}:{setting}:T={T}") for setting, T, _ in grid}
-    suites = {(setting, T): _suite(setting, n, T, realizations, seed) for (setting, T), seed in seeds.items()}
+    suites = {(setting, T): benchmark_suite(setting, n, T, realizations, seed) for (setting, T), seed in seeds.items()}
     rows = []
     for setting, T, method in grid:
         suite_seed, suite = seeds[setting, T], suites[setting, T]
@@ -450,13 +435,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        # Every input is checked into a UsageError before work starts, so a ValueError here is a failed computation.
+    except (ComputeError, OSError) as exc:
+        # _read turns every unreadable input into a ValueError, so an OSError here failed to write an output.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -101,6 +101,13 @@ def relative_variability(
     return math.sqrt(variance) / (abs(r0) + epsilon)
 
 
+def _verdict(r0: float, fold_estimates: tuple[float, ...], config: VcdfConfig) -> tuple[float, float, bool]:
+    """(C, V, kept) of an edge: it is kept when C >= tau_c and V <= tau_v."""
+    c = directional_consistency(r0, fold_estimates)
+    v = relative_variability(r0, fold_estimates, config.epsilon)
+    return c, v, c >= config.tau_c and v <= config.tau_v
+
+
 @dataclass(frozen=True)
 class EdgeStability:
     """Per-edge record: full-run weight, fold estimates, scores, verdict."""
@@ -146,9 +153,7 @@ def run_vcdf(
     kept_edges = []
     for edge in full_graph.sorted_edges():
         estimates = tuple(weights.get(edge.key, 0.0) for weights in fold_weights)
-        c = directional_consistency(edge.weight, estimates)
-        v = relative_variability(edge.weight, estimates, config.epsilon)
-        kept = c >= config.tau_c and v <= config.tau_v
+        c, v, kept = _verdict(edge.weight, estimates, config)
         records.append(EdgeStability(edge.cause, edge.effect, edge.lag, edge.weight, estimates, c, v, kept))
         if kept:
             weight = (1.0 - config.w) * edge.weight + config.w * (sum(estimates) / len(estimates))
@@ -182,9 +187,22 @@ def stability_report_from_json(text: str) -> StabilityReport:
     for idx, item in enumerate(parts["edges"]):
         where = f"stability report edge {idx}"
         edge = EdgeStability(**require_fields(where, item, _EDGE_KINDS))
+        key = (edge.cause, edge.effect, edge.lag)
+        if min(key) < 0:
+            raise ValueError(f"{where}: (cause, effect, lag) = {key} has a negative entry")
+        if not math.isfinite(edge.r0) or edge.r0 == 0.0:
+            raise ValueError(f"{where}: r0 must be a finite non-zero weight, got {edge.r0}")
         if len(edge.folds) != config.k:
             raise ValueError(f"{where}: {len(edge.folds)} fold estimates but k = {config.k}")
-        key = (edge.cause, edge.effect, edge.lag)
+        if not all(map(math.isfinite, edge.folds)):
+            raise ValueError(f"{where}: fold estimates must be finite, got {list(edge.folds)}")
+        try:
+            derived = _verdict(edge.r0, edge.folds, config)
+        except OverflowError:  # a squared fold deviation beyond the float range
+            raise ValueError(f"{where}: fold estimates {list(edge.folds)} spread too far to score") from None
+        if (edge.c, edge.v, edge.kept) != derived:
+            raise ValueError(f"{where}: stored (c, v, kept) = {(edge.c, edge.v, edge.kept)} but its r0 and "
+                             f"fold estimates give {derived}")
         if key in edges:
             raise ValueError(f"{where}: duplicate edge for (cause, effect, lag) = {key}")
         edges[key] = edge

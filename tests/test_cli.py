@@ -328,6 +328,17 @@ def test_evaluate_perfect_on_identical_graphs(dataset_dir, capsys):
     assert doc["summary"]["f1"] == 1.0
 
 
+def test_evaluate_graphs_of_different_variable_counts_exit_2(dataset_dir, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert run("generate", "--setting", "linear", "--n", "4", "--T", "300",
+               "--realizations", "1", "--out", other) == 0
+    capsys.readouterr()
+    out = tmp_path / "metrics.json"
+    assert run("evaluate", dataset_dir / "truth_000.json", other / "truth_000.json", "--out", out) == 2
+    assert "variable count mismatch: predicted n=5, truth n=4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_missing_file_exits_2(dataset_dir, tmp_path, capsys):
     assert run("evaluate", tmp_path / "a.json", tmp_path / "b.json") == 2
     assert f"graph file not found: {tmp_path / 'a.json'}" in capsys.readouterr().err
@@ -394,10 +405,38 @@ def test_bench_shares_datasets_within_a_cell(tmp_path):
         assert len(seeds) == 1  # both methods saw the same suite
 
 
+def test_bench_fit_failure_exits_3_without_a_report(tmp_path, capsys):
+    # T=250 is too short to fit 5 variables at lag 45: a valid value that only the fit rejects.
+    out = tmp_path / "bench"
+    assert run("bench", "runtime", "--n", "5", "--realizations", "1", "--max-lag", "45", "--out", out) == 3
+    assert "need more than 271 steps to fit 5 variables at lag 45, got 250" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_unknown_preset_exits_2():
     with pytest.raises(SystemExit) as info:
         run("bench", "weekly")
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# outputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("discover", "{data}/series_000.csv", "--out", "{blocked}"), id="discover"),
+    pytest.param(_GENERATE + ("--out", "{blocked}"), id="generate"),
+    pytest.param(("bench", "runtime", "--n", "5", "--realizations", "1", "--out", "{blocked}"), id="bench"),
+    pytest.param(("evaluate", "{data}/truth_000.json", "{data}/truth_000.json", "--out", "{blocked}/m.json"),
+                 id="evaluate"),
+])
+def test_output_that_cannot_be_written_exits_3(argv, dataset_dir, tmp_path, capsys):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a regular file\n")
+    assert run(*(a.format(data=dataset_dir, blocked=blocked) for a in argv)) == 3
+    err = capsys.readouterr().err
+    assert "error: " in err and "File exists" in err
+    assert blocked.read_text() == "a regular file\n"
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,20 @@ def test_report_json_rejects_garbage():
          r"edge 1: 6 fold estimates but k = 5"),
         (json.dumps({"config": config, "edges": [five_folds, five_folds]}),
          r"edge 1: duplicate edge for \(cause, effect, lag\) = \(0, 1, 1\)"),
+        (json.dumps({"config": config, "edges": [
+            {**five_folds, "cause": -3, "lag": -1, "c": 0.0, "v": 7.0, "kept": True}]}),
+         r"edge 0: \(cause, effect, lag\) = \(-3, 1, -1\) has a negative entry"),
+        (json.dumps({"config": config, "edges": [{**five_folds, "effect": -1}]}), "edge 0: .* negative entry"),
+        (json.dumps({"config": config, "edges": [{**five_folds, "r0": 0.0}]}), "edge 0: r0 must be a finite non-zero"),
+        (json.dumps({"config": config, "edges": [{**five_folds, "r0": float("inf")}]}), "r0 must be a finite"),
+        (json.dumps({"config": config, "edges": [{**five_folds, "folds": [0.5] * 4 + [float("nan")]}]}),
+         "edge 0: fold estimates must be finite"),
+        (json.dumps({"config": config, "edges": [five_folds, {**five_folds, "lag": 2, "kept": False}]}),
+         r"edge 1: stored \(c, v, kept\) = \(1.0, 0.0, False\) but .* give \(1.0, 0.0, True\)"),
+        (json.dumps({"config": config, "edges": [{**five_folds, "c": 0.8}]}), r"edge 0: stored \(c, v, kept\)"),
+        (json.dumps({"config": config, "edges": [{**five_folds, "v": 0.1}]}), r"edge 0: stored \(c, v, kept\)"),
+        (json.dumps({"config": config, "edges": [{**five_folds, "folds": [1e200, -1e200, 0.5, 0.5, 0.5]}]}),
+         "edge 0: fold estimates .* spread too far to score"),
     ):
         with pytest.raises(ValueError, match=fragment):
             stability_report_from_json(text)

@@ -229,7 +229,10 @@ def test_discoverers_reject_a_series_whose_squares_leave_the_float_range(method,
 
 
 def _pairwise_select(work, active):
-    """Reference: the pairwise loop of scalar entropy proxies that the vectorized ordering replaced."""
+    """Reference: the pairwise loop of scalar entropy proxies that the vectorized ordering replaced.
+
+    Returns its choice and every active column's score.
+    """
     def entropy(u):
         return ((1.0 + math.log(2.0 * math.pi)) / 2.0
                 - _K1 * (np.mean(np.log(np.cosh(u))) - _GAMMA) ** 2
@@ -249,7 +252,7 @@ def _pairwise_select(work, active):
                     entropy(x[i]) + entropy(standardized(x[j] - corr * x[i])))
                 score += min(0.0, diff) ** 2
         scores.append(score)
-    return active[int(np.argmin(scores))]
+    return active[int(np.argmin(scores))], scores
 
 
 @pytest.mark.parametrize("m, T, near_copy", [
@@ -258,7 +261,7 @@ def _pairwise_select(work, active):
     (4, 500, True),
 ])
 def test_select_exogenous_matches_the_pairwise_loop(m, T, near_copy):
-    for seed in range(5):
+    for seed in range(20):
         rng = np.random.default_rng(seed)
         e = rng.laplace(size=(T, m + 1)) ** 3
         work = e @ np.triu(rng.uniform(-1.0, 1.0, size=(m + 1, m + 1)))
@@ -267,7 +270,11 @@ def test_select_exogenous_matches_the_pairwise_loop(m, T, near_copy):
             work[:, active[1]] = work[:, active[0]] + 1e-6 * rng.laplace(size=T)
         # The ordering hands over centred work columns.
         work -= work.mean(axis=0)
-        assert _select_exogenous(work, active) == _pairwise_select(work, active)
+        # Rounding may pick either of two near copies (at seed 18, the one 1.5e-20 above the minimum), so the
+        # choice need only score within 1e-12 of the reference's; distinct candidates differ by 5e-5 or more.
+        choice, scores = _pairwise_select(work, active)
+        chosen = _select_exogenous(work, active)
+        assert scores[active.index(chosen)] <= scores[active.index(choice)] + 1e-12, (seed, chosen, choice)
 
 
 def test_entropy_proxy_is_finite_far_in_the_tails():
