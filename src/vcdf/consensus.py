@@ -92,13 +92,25 @@ def directional_consistency(r0: float, fold_estimates: tuple[float, ...] | list[
 def relative_variability(
     r0: float, fold_estimates: tuple[float, ...] | list[float], epsilon: float = 1e-8
 ) -> float:
-    """Population spread of the fold estimates relative to the full-run magnitude."""
+    """Population spread of the fold estimates relative to the full-run magnitude.
+
+    Raises ``ValueError`` when the spread is not finite: a fold sum or a squared
+    deviation beyond the float range, or a quotient that overflows.
+    """
     k = len(fold_estimates)
     if k < 2:
         raise ValueError(f"need at least two fold estimates, got {k}")
     mean = sum(fold_estimates) / k
-    variance = sum((value - mean) ** 2 for value in fold_estimates) / k
-    return math.sqrt(variance) / (abs(r0) + epsilon)
+    # ** raises OverflowError where x * x gives inf, but it stays: x * x can differ
+    # in the last bit, and the report reader re-derives V exactly.
+    try:
+        variance = sum((value - mean) ** 2 for value in fold_estimates) / k
+    except OverflowError:
+        variance = math.inf
+    v = math.sqrt(variance) / (abs(r0) + epsilon)
+    if not math.isfinite(v):
+        raise ValueError(f"fold estimates {list(fold_estimates)} spread too far to score")
+    return v
 
 
 def _verdict(r0: float, fold_estimates: tuple[float, ...], config: VcdfConfig) -> tuple[float, float, bool]:
@@ -198,8 +210,8 @@ def stability_report_from_json(text: str) -> StabilityReport:
             raise ValueError(f"{where}: fold estimates must be finite, got {list(edge.folds)}")
         try:
             derived = _verdict(edge.r0, edge.folds, config)
-        except OverflowError:  # a squared fold deviation beyond the float range
-            raise ValueError(f"{where}: fold estimates {list(edge.folds)} spread too far to score") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         if (edge.c, edge.v, edge.kept) != derived:
             raise ValueError(f"{where}: stored (c, v, kept) = {(edge.c, edge.v, edge.kept)} but its r0 and "
                              f"fold estimates give {derived}")

@@ -1,12 +1,13 @@
 """Base causal discovery methods mapping a series to a lag-indexed graph.
 
-Two deterministic methods share the lagged least-squares machinery:
+Two deterministic methods, each the one lagged least-squares fit (``fit_var``)
+plus its own edge rule:
 
-* ``varlingam``: fits a lagged autoregression, then orders the residuals by a
-  non-Gaussianity contrast to recover an acyclic instantaneous layer, and
-  re-expresses the lagged coefficients in structural form.
-* ``lagreg``: per-target lagged regression that keeps coefficients passing a
-  two-sided normal significance test, no instantaneous layer.
+* ``varlingam``: orders the fit's residuals by a non-Gaussianity contrast to
+  recover an acyclic instantaneous layer, and re-expresses the lagged
+  coefficients in structural form.
+* ``lagreg``: keeps the lagged coefficients passing a two-sided normal
+  significance test, no instantaneous layer.
 """
 
 from __future__ import annotations
@@ -55,13 +56,14 @@ class DiscovererConfig:
 class VarFit(NamedTuple):
     """Least-squares fit of x_t on an intercept and lags 1..p.
 
-    ``coefs[l-1][j, i]`` weights x_{t-l}(i) in the regression for x_t(j); the
-    residual rows follow the temporal order of the regressed steps.
+    ``coefs[l-1][j, i]`` weights x_{t-l}(i) in the regression for x_t(j) and
+    ``stderr[l-1][j, i]`` is its standard error; the residual rows follow the
+    temporal order of the regressed steps.
     """
 
     coefs: np.ndarray
     residuals: np.ndarray
-    intercept: np.ndarray
+    stderr: np.ndarray
 
 
 def _qr_solve(Z: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,10 +157,16 @@ def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.
 
 def fit_var(series: MultivariateSeries, p: int) -> VarFit:
     """Ordinary least squares fit of a lag-p autoregression with intercept."""
-    beta, residuals, _ = _lagged_ols(series.values, p)
+    beta, residuals, R = _lagged_ols(series.values, p)
     n = series.n_vars
     coefs = np.stack([beta[1 + (lag - 1) * n : 1 + lag * n].T for lag in range(1, p + 1)])
-    return VarFit(coefs, residuals, beta[0].copy())
+    sigma2 = (residuals**2).sum(axis=0) / (len(residuals) - len(R))
+    # Rooted apart, and R^-1's rows normed by hypot: in far-apart units the
+    # product of the two variances, or the squares of R^-1, can leave the float
+    # range where the standard error does not.
+    unit_sd = np.hypot.reduce(np.linalg.solve(R, np.eye(len(R))), axis=1)
+    stderr = np.sqrt(sigma2)[None, :, None] * unit_sd[1:].reshape(p, 1, n)
+    return VarFit(coefs, residuals, stderr)
 
 
 def _entropy(u: np.ndarray) -> np.ndarray:
@@ -263,8 +271,11 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
     return order, b0
 
 
-def _window_graph(weights: np.ndarray, keep: np.ndarray, first_lag: int) -> WindowGraph:
-    """The graph of the entries of ``weights[lag - first_lag, effect, cause]`` where ``keep`` holds."""
+def _window_graph(weights: np.ndarray, keep: np.ndarray | bool, first_lag: int,
+                  config: DiscovererConfig) -> WindowGraph:
+    """The graph of the entries of ``weights[lag - first_lag, effect, cause]`` where
+    ``keep`` holds and the weight is non-zero and at least ``prune_threshold``."""
+    keep = keep & (weights != 0.0) & (np.abs(weights) >= config.prune_threshold)
     lag, effect, cause = np.nonzero(keep)
     edges = frozenset(map(Edge, cause, effect, lag + first_lag, weights[keep]))
     return WindowGraph(weights.shape[1], first_lag + len(weights) - 1, edges)
@@ -275,32 +286,16 @@ def varlingam_discover(series: MultivariateSeries, config: DiscovererConfig) -> 
     fit = fit_var(series, config.max_lag)
     _, b0 = direct_lingam_order(fit.residuals)
     structural = (np.eye(series.n_vars) - b0) @ fit.coefs
-    weights = np.concatenate([b0[None], structural])
-    return _window_graph(weights, (weights != 0.0) & (np.abs(weights) >= config.prune_threshold), 0)
+    return _window_graph(np.concatenate([b0[None], structural]), True, 0, config)
 
 
 def lagreg_discover(series: MultivariateSeries, config: DiscovererConfig) -> WindowGraph:
     """Per-target lagged regression keeping significant, non-trivial coefficients."""
-    p = config.max_lag
-    n = series.n_vars
-    beta, residuals, R = _lagged_ols(series.values, p)
-    rows, q = residuals.shape[0], R.shape[0]
-    dof = rows - q
-    sigma2 = (residuals**2).sum(axis=0) / dof
-    r_inv = np.linalg.solve(R, np.eye(q))
-    unit_variance = (r_inv**2).sum(axis=1)
-
-    if config.alpha == 0.0:
-        return WindowGraph(n, p, frozenset())
-    critical = NormalDist().inv_cdf(1.0 - config.alpha / 2.0)
-
-    # [lag - 1, effect, cause] views of the coefficients and their standard errors
-    coefs = beta[1:].reshape(p, n, n).transpose(0, 2, 1)
-    se = np.sqrt(sigma2[None, :, None] * unit_variance[1:].reshape(p, 1, n))
+    fit = fit_var(series, config.max_lag)
+    critical = NormalDist().inv_cdf(1.0 - config.alpha / 2.0) if config.alpha > 0.0 else math.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        significant = (se > 0.0) & (np.abs(coefs) / se > critical)
-    keep = (coefs != 0.0) & (np.abs(coefs) >= config.prune_threshold) & significant
-    return _window_graph(coefs, keep, 1)
+        significant = (fit.stderr > 0.0) & (np.abs(fit.coefs) / fit.stderr > critical)
+    return _window_graph(fit.coefs, significant, 1, config)
 
 
 class BaseDiscoverer(ABC):

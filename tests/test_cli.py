@@ -261,6 +261,19 @@ def test_discover_on_values_whose_squares_leave_the_float_range_exits_3_without_
     assert not out.exists()
 
 
+def test_discover_vcdf_whose_fold_weights_spread_beyond_the_float_range_exits_3_without_outputs(
+        dataset_dir, tmp_path, capsys):
+    # Columns in units 1e290 apart fit, but the fold weights between them come out near 1e288.
+    series = read_series_csv(dataset_dir / "series_000.csv")
+    scaled = tmp_path / "scaled.csv"
+    write_series_csv(MultivariateSeries(series.values * [1e150, 1e-140, 1.0, 1.0, 1.0], series.names), scaled)
+    out = tmp_path / "nothing"
+    assert run("discover", scaled, "--vcdf", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "spread too far to score" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_discover_truth_of_another_variable_count_exits_2_without_outputs(dataset_dir, tmp_path, capsys):
     other = tmp_path / "other"
     assert run("generate", "--setting", "linear", "--n", "4", "--T", "300",

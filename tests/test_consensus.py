@@ -217,6 +217,14 @@ def test_variability_explodes_for_tiny_r0():
     assert v > 1e7
 
 
+def test_variability_that_is_not_finite_is_refused():
+    # a fold sum that overflows, a squared deviation that does, and a quotient that does
+    for r0, folds, epsilon in ((0.5, [1.7e308] * 5, 1e-8), (0.5, [1e200, -1e200, 0.5], 1e-8),
+                               (0.0, [1e100, -1e100], 1e-250)):
+        with pytest.raises(ValueError, match=r"fold estimates \[.*\] spread too far to score"):
+            relative_variability(r0, folds, epsilon)
+
+
 def test_variability_needs_two_folds():
     with pytest.raises(ValueError):
         relative_variability(0.5, [0.5])

@@ -104,7 +104,7 @@ def test_fit_var_shapes():
     fit = fit_var(simulate(_noise_spec(0), 400).series, 2)
     assert fit.coefs.shape == (2, 3, 3)
     assert fit.residuals.shape == (398, 3)
-    assert fit.intercept.shape == (3,)
+    assert fit.stderr.shape == (2, 3, 3)
 
 
 def test_fit_var_rejects_constant_column():
@@ -204,11 +204,13 @@ def test_discoverers_do_not_depend_on_the_input_scale(method, scale):
             assert abs(weight - want[key]) <= 1e-9 * abs(want[key]), (setting, key)
 
 
+@pytest.mark.parametrize("factors", [[1e8, 1e-8, 1.0, 1e4, 1e-4], [1e150, 1e-140, 1.0, 1.0, 1.0]],
+                         ids=["1e8", "1e150"])
 @pytest.mark.parametrize("method", ["varlingam", "lagreg"])
-def test_discoverers_do_not_depend_on_the_units_of_each_column(method):
+def test_discoverers_do_not_depend_on_the_units_of_each_column(method, factors):
     # Unpruned, so every estimated edge is compared: a weight from cause i to
     # effect j is in units of x_j per x_i and rescales by d_j / d_i.
-    factors = np.array([1e8, 1e-8, 1.0, 1e4, 1e-4])
+    factors = np.array(factors)
     discoverer = make_discoverer(method, DiscovererConfig(prune_threshold=0.0))
     for setting in SETTINGS:
         series = benchmark_suite(setting, 5, 300, 1, 0)[0].series
@@ -218,6 +220,24 @@ def test_discoverers_do_not_depend_on_the_units_of_each_column(method):
         for (cause, effect, lag), weight in want.items():
             expected = weight * factors[effect] / factors[cause]
             assert abs(got[cause, effect, lag] - expected) <= 1e-9 * abs(expected), (setting, cause, effect, lag)
+
+
+@pytest.mark.parametrize("method", ["varlingam", "lagreg"])
+def test_discoverers_do_not_depend_on_the_units_of_two_nearly_equal_columns(method):
+    # Column 1 is column 0 plus 1e-12 of noise, so the fit takes the QR path; at
+    # 2**-485 (about 1e-146) the entries of R^-1 reach 1e157 and their squares
+    # leave the float range. Powers of two rescale every weight exactly.
+    series = benchmark_suite("linear", 5, 300, 1, 0)[0].series
+    values = series.values.copy()
+    values[:, 1] = values[:, 0] + 1e-12 * np.random.default_rng(0).standard_normal(300)
+    factors = np.array([2.0**-485, 2.0**-485, 1.0, 1.0, 1.0])
+    discoverer = make_discoverer(method, DiscovererConfig(prune_threshold=0.0))
+    want = discoverer.discover(MultivariateSeries(values, series.names)).weight_map()
+    got = discoverer.discover(MultivariateSeries(values * factors, series.names)).weight_map()
+    assert got.keys() == want.keys()
+    for (cause, effect, lag), weight in want.items():
+        expected = weight * factors[effect] / factors[cause]
+        assert abs(got[cause, effect, lag] - expected) <= 1e-9 * abs(expected), (cause, effect, lag)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
