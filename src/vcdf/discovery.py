@@ -134,12 +134,15 @@ def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.
     ones = np.ones((T - p, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         gram = np.hstack([cross(M) for M in (ones, *lags)])
+        # The last row is only ever a target, so the targets' own squares are checked too.
+        squares = np.concatenate([np.diag(gram), (Y * Y).sum(axis=0)])
+        sums = np.concatenate([gram[0], Y.sum(axis=0)])
     # Squares that overflow or underflow would pass for a dependent or a
     # well-posed design alike; an all-zero column is left to the rank test.
     lowest = np.finfo(float).tiny / np.finfo(float).eps
-    if not np.isfinite(gram).all() or ((np.diag(gram) < lowest) & (gram[0] != 0.0)).any():
+    if not (np.isfinite(gram).all() and np.isfinite(squares).all()) or ((squares < lowest) & (sums != 0.0)).any():
         raise ValueError(
-            f"series values out of range: a lagged column's sum of squares is not finite or below {lowest:.0e}"
+            f"series values out of range: a column's sum of squares is not finite or below {lowest:.0e}"
         )
     L = _gram_factor(gram)
     if L is None:
@@ -169,28 +172,52 @@ def fit_var(series: MultivariateSeries, p: int) -> VarFit:
     return VarFit(coefs, residuals, stderr)
 
 
-def _entropy(u: np.ndarray) -> np.ndarray:
+def _entropy(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Differential-entropy proxy of each standardized sample along the last axis.
 
-    log cosh(u) is taken as |u| + log1p(exp(-2|u|)) - log 2, which stays
-    finite for any finite u (cosh itself overflows once |u| > ~710).
+    ``a`` and ``b`` are scratch arrays of ``u``'s shape, overwritten. log cosh(u)
+    is taken as |u| + log1p(exp(-2|u|)) - log 2, which stays finite for any
+    finite u (cosh itself overflows once |u| > ~710).
     """
-    a = np.abs(u)
-    log_cosh = (a + np.log1p(np.exp(-2.0 * a))).mean(axis=-1) - math.log(2.0)
-    gauss = (u * np.exp(-0.5 * (u * u))).mean(axis=-1)
+    np.abs(u, out=a)
+    np.multiply(a, -2.0, out=b)
+    np.exp(b, out=b)
+    np.log1p(b, out=b)
+    b += a
+    log_cosh = b.mean(axis=-1) - math.log(2.0)
+    np.multiply(u, u, out=a)
+    a *= -0.5
+    np.exp(a, out=a)
+    a *= u
+    gauss = a.mean(axis=-1)
     return (1.0 + math.log(2.0 * math.pi)) / 2.0 - _K1 * (log_cosh - _GAMMA) ** 2 - _K2 * gauss**2
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Centred rows of ``x`` over their deviations, which must exceed 1e-12: the
-    ordering's one degeneracy rule, as every work column starts at deviation 1."""
-    std = np.sqrt((x * x).mean(axis=1, keepdims=True))
+def _unit_rows(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """``x`` with each centred row (along the last axis) divided in place by its deviation,
+    which must exceed 1e-12: the ordering's one degeneracy rule, as every work column
+    starts at deviation 1. ``sq`` is a scratch array of ``x``'s shape, overwritten."""
+    np.multiply(x, x, out=sq)
+    std = np.sqrt(sq.mean(axis=-1, keepdims=True))
     if (std <= _ZERO_TOLERANCE).any():
         raise ValueError("degenerate (near-constant) residual column")
-    return x / std
+    x /= std
+    return x
 
 
-def _select_exogenous(work: np.ndarray, active: list[int]) -> int:
+# Candidates are scored in batches of at most this many slab values (256 KiB), at least
+# one candidate a batch, so a step's working set stays small at any length: one slab of
+# every candidate at once was slower than one candidate at a time at T=4000.
+_BATCH_VALUES = 2**15
+
+
+def _scratch(rows: int, n: int) -> np.ndarray:
+    """The three buffers ``_select_exogenous`` computes in for ``rows`` x ``n`` work columns:
+    each holds a batch of candidate slabs or all the active rows."""
+    return np.empty((3, max(_BATCH_VALUES, rows * n)))
+
+
+def _select_exogenous(work: np.ndarray, active: list[int], scratch: np.ndarray) -> int:
     """Pick the most plausibly exogenous variable among the active columns.
 
     For each ordered pair the score contrasts the entropy proxy of one
@@ -199,17 +226,35 @@ def _select_exogenous(work: np.ndarray, active: list[int]) -> int:
     with ties broken toward the lowest variable index.
 
     The rows stay centred, so one product gives every correlation. A
-    candidate's residuals form one (m - 1, T) slab: memory is O(T*m).
+    candidate's residuals form one (m - 1, T) slab, and the candidates are
+    scored in batches of as many slabs as fit ``_BATCH_VALUES`` (at least
+    one), computed in place in ``scratch`` (see ``_scratch``): memory is
+    O(max(2**15, T*n)), whatever the step.
     """
-    x = _unit_rows(work.T[active])
-    entropy = _entropy(x)
-    m = len(active)
-    corr = x @ x.T / x.shape[1]
-    # residual_entropy[i, j]: entropy proxy of variable i's residual on variable j
+    x = work.T[active]  # a copy, scaled in place below
+    m, T = x.shape
+    sq, a, b = (buf[: m * T].reshape(m, T) for buf in scratch)
+    entropy = _entropy(_unit_rows(x, sq), a, b)
+    corr = x @ x.T / T
+    # Row i of the off-diagonal pattern: others[i] are the active rows other than i, in order,
+    # and weights[i, k] is row i's correlation with others[i, k].
+    off = ~np.eye(m, dtype=bool)
+    others = np.nonzero(off)[1].reshape(m, m - 1)
+    weights = corr[off].reshape(m, m - 1, 1)
+    # pair_entropy[i, k]: entropy proxy of variable i's residual on others[i, k]
+    pair_entropy = np.empty((m, m - 1))
+    batch = max(1, _BATCH_VALUES // ((m - 1) * T))
+    for start in range(0, m, batch):
+        rows = slice(start, start + batch)
+        block = others[rows]
+        r, a, b = (buf[: block.size * T].reshape(*block.shape, T) for buf in scratch)
+        # Every index is in range; "clip" lets take write into r without a buffered copy.
+        np.take(x, block, axis=0, out=r, mode="clip")
+        r *= weights[rows]
+        np.subtract(x[rows, None], r, out=r)
+        pair_entropy[rows] = _entropy(_unit_rows(r, a), a, b)
     residual_entropy = np.zeros((m, m))
-    for i in range(m):
-        others = np.arange(m) != i
-        residual_entropy[i, others] = _entropy(_unit_rows(x[i] - corr[i, others, None] * x[others]))
+    residual_entropy[off] = pair_entropy.ravel()
     direction = (entropy[None, :] + residual_entropy) - (entropy[:, None] + residual_entropy.T)
     scores = np.square(np.minimum(direction, 0.0)).sum(axis=1)
     if not np.isfinite(scores).all():
@@ -244,10 +289,11 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
     work = centred / scale
     # deflation[a, c]: the multiple of pivot c's work column taken out of column a
     deflation = np.zeros((n, n))
+    scratch = _scratch(rows, n)
     active = list(range(n))
     order: list[int] = []
     while active:
-        chosen = active[0] if len(active) == 1 else _select_exogenous(work, active)
+        chosen = active[0] if len(active) == 1 else _select_exogenous(work, active, scratch)
         order.append(chosen)
         active.remove(chosen)
         if active:
@@ -277,7 +323,8 @@ def _window_graph(weights: np.ndarray, keep: np.ndarray | bool, first_lag: int,
     ``keep`` holds and the weight is non-zero and at least ``prune_threshold``."""
     keep = keep & (weights != 0.0) & (np.abs(weights) >= config.prune_threshold)
     lag, effect, cause = np.nonzero(keep)
-    edges = frozenset(map(Edge, cause, effect, lag + first_lag, weights[keep]))
+    edges = frozenset(map(Edge, cause.tolist(), effect.tolist(), (lag + first_lag).tolist(),
+                          weights[keep].tolist()))
     return WindowGraph(weights.shape[1], first_lag + len(weights) - 1, edges)
 
 

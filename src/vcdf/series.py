@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import operator
 import re
@@ -154,7 +155,7 @@ class WindowGraph:
                 raise ValueError(f"edge {edge} references a variable outside 0..{self.n - 1}")
             if not 0 <= edge.lag <= self.max_lag:
                 raise ValueError(f"edge {edge} has lag outside 0..{self.max_lag}")
-            if not np.isfinite(edge.weight) or edge.weight == 0.0:
+            if not math.isfinite(edge.weight) or edge.weight == 0.0:
                 raise ValueError(f"edge {edge} must carry a finite non-zero weight")
             if edge.key in seen:
                 raise ValueError(f"duplicate edge for (cause, effect, lag) = {edge.key}")
@@ -180,8 +181,11 @@ def summarize(window: WindowGraph) -> frozenset[tuple[int, int]]:
 def instantaneous_order(n: int, edges: Iterable[Edge]) -> list[int]:
     """Topological order of variables 0..n-1 under the lag-0 edges (Kahn's algorithm).
 
-    Ties go to the lowest-numbered ready variable. When the lag-0 edges hold a
-    cycle, raises ValueError naming one, e.g. ``cycle: 0 -> 1 -> 0``.
+    Ready variables are placed first in, first out: those without a lag-0 parent
+    in increasing index, then each one as its last parent is placed, so
+    ``instantaneous_order(4, [Edge(0, 1, 0, 0.5)])`` is ``[0, 2, 3, 1]``. When the
+    lag-0 edges hold a cycle, raises ValueError naming one, e.g.
+    ``cycle: 0 -> 1 -> 0``.
     """
     indegree = [0] * n
     succ: dict[int, list[int]] = {}

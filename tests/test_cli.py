@@ -1,6 +1,7 @@
 """End-to-end harness behavior: files written, exit codes, determinism, presets."""
 
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -258,6 +259,24 @@ def test_discover_on_values_whose_squares_leave_the_float_range_exits_3_without_
     out = tmp_path / "nothing"
     assert run("discover", scaled, "--method", method, "--out", out) == 3
     assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["varlingam", "lagreg"])
+def test_discover_on_a_last_row_whose_square_overflows_exits_3_without_warnings(
+        method, dataset_dir, tmp_path, capsys):
+    # The last row is only ever a target, never a lagged regressor.
+    series = read_series_csv(dataset_dir / "series_000.csv")
+    values = series.values.copy()
+    values[-1, 2] = 1e200
+    edited = tmp_path / "last.csv"
+    write_series_csv(MultivariateSeries(values, series.names), edited)
+    out = tmp_path / "nothing"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("discover", edited, "--method", method, "--out", out) == 3
+    assert "series values out of range" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -29,7 +29,7 @@ from vcdf import (
     varlingam_discover,
     window_f1,
 )
-from vcdf.discovery import _GAMMA, _K1, _K2, _entropy, _lagged_ols, _select_exogenous
+from vcdf.discovery import _GAMMA, _K1, _K2, _entropy, _lagged_ols, _scratch, _select_exogenous
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -293,8 +293,39 @@ def test_select_exogenous_matches_the_pairwise_loop(m, T, near_copy):
         # Rounding may pick either of two near copies (at seed 18, the one 1.5e-20 above the minimum), so the
         # choice need only score within 1e-12 of the reference's; distinct candidates differ by 5e-5 or more.
         choice, scores = _pairwise_select(work, active)
-        chosen = _select_exogenous(work, active)
+        chosen = _select_exogenous(work, active, _scratch(*work.shape))
         assert scores[active.index(chosen)] <= scores[active.index(choice)] + 1e-12, (seed, chosen, choice)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_batching_changes_no_bit_of_the_selection(monkeypatch, m):
+    T = 300
+    rng = np.random.default_rng(m)
+    work = (rng.laplace(size=(T, m)) ** 3) @ np.triu(rng.uniform(-1.0, 1.0, size=(m, m)))
+    # A near copy, whose residual slabs cancel most.
+    work[:, 1] = work[:, 0] + 1e-6 * rng.laplace(size=T)
+    work -= work.mean(axis=0)
+    # An exact copy leaves a residual slab of rounding noise only.
+    degenerate = work.copy()
+    degenerate[:, 1] = degenerate[:, 0]
+    entropy = discovery._entropy
+    outcomes = []
+    for batch in (1, 2, m):
+        monkeypatch.setattr(discovery, "_BATCH_VALUES", batch * (m - 1) * T)
+        calls = []
+        monkeypatch.setattr(discovery, "_entropy", lambda u, a, b: calls.append(entropy(u, a, b)) or calls[-1])
+        chosen = _select_exogenous(work, list(range(m)), _scratch(T, m))
+        # The first call scores the active rows, each later one a batch of candidates' residuals.
+        assert [len(c) for c in calls[1:]] == [min(batch, m - start) for start in range(0, m, batch)]
+        residual = np.zeros((m, m))
+        residual[~np.eye(m, dtype=bool)] = np.concatenate(calls[1:]).ravel()
+        direction = (calls[0][None, :] + residual) - (calls[0][:, None] + residual.T)
+        scores = np.square(np.minimum(direction, 0.0)).sum(axis=1)
+        assert chosen == int(np.argmin(scores))
+        with pytest.raises(ValueError, match="degenerate") as error:
+            _select_exogenous(degenerate, list(range(m)), _scratch(T, m))
+        outcomes.append((chosen, scores.tobytes(), residual.tobytes(), str(error.value)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 def test_entropy_proxy_is_finite_far_in_the_tails():
@@ -305,7 +336,7 @@ def test_entropy_proxy_is_finite_far_in_the_tails():
                    - _K1 * (np.mean(log_cosh) - _GAMMA) ** 2
                    - _K2 * np.mean(gauss) ** 2)
     for sample in (u, u[::-1].reshape(1, -1)):
-        value = _entropy(sample)
+        value = _entropy(sample, *np.empty((2, *sample.shape)))
         assert np.isfinite(value).all()
         assert np.allclose(value, closed_form, rtol=1e-12, atol=0.0)
 
@@ -541,7 +572,7 @@ def reference_direct_lingam_order(residuals):
     active = list(range(n))
     order: list[int] = []
     while active:
-        chosen = active[0] if len(active) == 1 else _select_exogenous(work, active)
+        chosen = active[0] if len(active) == 1 else _select_exogenous(work, active, _scratch(*work.shape))
         order.append(chosen)
         active.remove(chosen)
         if active:

@@ -148,6 +148,13 @@ def test_window_graph_rejects_instantaneous_cycles():
         WindowGraph(n=1, max_lag=0, edges=frozenset({Edge(0, 0, 0, 0.5)}))
 
 
+def test_instantaneous_order_places_ready_variables_first_in_first_out():
+    # 1 becomes ready after 2 and 3 were queued, so it comes last, not second.
+    assert series_module.instantaneous_order(4, [Edge(0, 1, 0, 0.5)]) == [0, 2, 3, 1]
+    # Lowest-numbered-first would place 0 before 3 here; lagged edges do not count.
+    assert series_module.instantaneous_order(4, [Edge(2, 0, 0, 0.5), Edge(3, 1, 1, 0.5)]) == [1, 2, 3, 0]
+
+
 def test_lagged_self_loops_are_legal():
     g = WindowGraph(n=1, max_lag=2, edges=frozenset({Edge(0, 0, 1, 0.8)}))
     assert len(g.edges) == 1
