@@ -106,11 +106,12 @@ def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.
 
     ``beta`` rows are the intercept then lag-major blocks of n regressors;
     ``R`` is upper triangular with R'R = Z'Z for the design Z, for coefficient
-    variances. Z is never formed: Z'Z, Z'M and Z b are summed over its lag
-    blocks, which are views of ``values``. The normal equations are solved by
-    Cholesky, and one refinement step on the residual wins back the digits
-    they lose on trended designs; a nearly dependent column sends the fit to
-    ``_qr_solve`` on the formed design instead.
+    variances. Z is never formed: Z'Z and Z'Y are blocks of one bordered
+    matrix [Z Y]'[Z Y], whose diagonal and first row set the supported range;
+    it, Z'M and Z b are summed over Z's lag blocks, views of ``values``. The
+    normal equations are solved by Cholesky, and one refinement step on the
+    residual wins back the digits they lose on trended designs; a nearly
+    dependent column sends the fit to ``_qr_solve`` on the formed design.
     """
     if p < 1:
         raise ValueError(f"lag order must be >= 1, got {p}")
@@ -132,19 +133,18 @@ def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.
         return out
 
     ones = np.ones((T - p, 1))
+    k = 1 + n * p
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.hstack([cross(M) for M in (ones, *lags)])
-        # The last row is only ever a target, so the targets' own squares are checked too.
-        squares = np.concatenate([np.diag(gram), (Y * Y).sum(axis=0)])
-        sums = np.concatenate([gram[0], Y.sum(axis=0)])
+        top = np.hstack([cross(M) for M in (ones, *lags, Y)])
+        bordered = np.vstack([top, np.hstack([top[:, k:].T, Y.T @ Y])])
     # Squares that overflow or underflow would pass for a dependent or a
     # well-posed design alike; an all-zero column is left to the rank test.
     lowest = np.finfo(float).tiny / np.finfo(float).eps
-    if not (np.isfinite(gram).all() and np.isfinite(squares).all()) or ((squares < lowest) & (sums != 0.0)).any():
+    if not np.isfinite(bordered).all() or ((np.diag(bordered) < lowest) & (bordered[0] != 0.0)).any():
         raise ValueError(
             f"series values out of range: a column's sum of squares is not finite or below {lowest:.0e}"
         )
-    L = _gram_factor(gram)
+    L = _gram_factor(bordered[:k, :k])
     if L is None:
         Z = np.hstack([ones, *lags])
         beta, R = _qr_solve(Z, Y)
@@ -153,7 +153,7 @@ def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.
     def solve(rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
-    beta = solve(cross(Y))
+    beta = solve(bordered[:k, k:])
     beta += solve(cross(Y - fitted(beta)))
     return beta, Y - fitted(beta), L.T
 

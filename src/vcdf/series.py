@@ -232,8 +232,8 @@ def read_series_csv(path: str | Path) -> MultivariateSeries:
     row-major order is the one reported.
     """
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or not lines[0]:
+    lines = text.removesuffix("\n").split("\n")
+    if not lines[0]:
         raise ValueError(f"{path}: missing header row")
     names = lines[0].split(",")
     for col, name in enumerate(names, start=1):

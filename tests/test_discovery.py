@@ -240,12 +240,31 @@ def test_discoverers_do_not_depend_on_the_units_of_two_nearly_equal_columns(meth
         assert abs(got[cause, effect, lag] - expected) <= 1e-9 * abs(expected), (cause, effect, lag)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def _with_cell(row, value):
+    """An edit of the series values that sets column 2 of ``row`` to ``value``."""
+    def edit(values):
+        values = values.copy()
+        values[row, 2] = value
+        return values
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    *(pytest.param(lambda values, s=scale: s * values, id=f"{scale:g}")
+      for scale in (1e-300, 1e-200, 1e200, 1e300)),
+    # One cell of the first row (only ever a regressor), of a middle row, and of
+    # the last row (only ever a target).
+    pytest.param(_with_cell(0, 1e200), id="first-row-1e200"),
+    pytest.param(_with_cell(150, 1e200), id="middle-row-1e200"),
+    pytest.param(_with_cell(-1, 1e200), id="last-row-1e200"),
+    # One column whose squares underflow.
+    pytest.param(lambda values: values * [1.0, 1.0, 1e-170, 1.0, 1.0], id="column-1e-170"),
+])
 @pytest.mark.parametrize("method", ["varlingam", "lagreg"])
-def test_discoverers_reject_a_series_whose_squares_leave_the_float_range(method, scale):
+def test_discoverers_reject_a_series_whose_squares_leave_the_float_range(method, edit):
     series = benchmark_suite("linear", 5, 300, 1, 0)[0].series
     with pytest.raises(ValueError, match="out of range"):
-        make_discoverer(method).discover(MultivariateSeries(scale * series.values, series.names))
+        make_discoverer(method).discover(MultivariateSeries(edit(series.values), series.names))
 
 
 def _pairwise_select(work, active):

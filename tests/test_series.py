@@ -218,6 +218,8 @@ def test_write_rejects_unsafe_names(tmp_path):
         ("a,b\n1,2\n1,x\n3\n", "row 2, column 2: not a number"),
         ("a,b\n" + "1,2\n" * 999 + "1,x\n", "row 1000, column 2: not a number"),
         ("a,b\n1,2\n\n", "row 2: expected 2 fields, found 1"),
+        # A line break to str.splitlines(), but neither a row end nor whitespace to float().
+        ("a,b\n1,2\x1c3\n", "row 1, column 2: not a number"),
     ],
 )
 def test_read_series_csv_reports_locations(tmp_path, text, fragment):
@@ -227,10 +229,19 @@ def test_read_series_csv_reports_locations(tmp_path, text, fragment):
         read_series_csv(path)
 
 
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"])
+def test_read_series_csv_ends_rows_only_at_newlines(tmp_path, space):
+    # float() takes each of these as whitespace around a cell; str.splitlines() breaks a row at it.
+    path = tmp_path / "series.csv"
+    path.write_text(f"a,b\n1,2{space}\n3,4\n", encoding="utf-8")
+    assert_reads_like_reference(path)
+    assert read_series_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 def reference_read_series_csv(path):
     """The reader's original cell-by-cell loop: the oracle for its chunked numpy passes."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = text.removesuffix("\n").split("\n")
     if not lines or not lines[0]:
         raise ValueError(f"{path}: missing header row")
     names = lines[0].split(",")
