@@ -11,7 +11,8 @@
 # and 1 scaled by 1e150 and 1e-140, lagreg must fit without a RuntimeWarning, and the
 # filter, whose fold weights then spread beyond the float range, must exit 3. One cell of
 # the last row (only ever a target) set to 1e200 must exit 3 with the range error and no
-# RuntimeWarning, for both methods.
+# RuntimeWarning, for both methods. A config file naming an unknown method exits 2 with
+# "unknown discoverer" and no output directory.
 #
 # Usage, from an empty scratch directory: bash -e path/to/console_smoke.sh
 set -e
@@ -26,6 +27,11 @@ printf '\377a,b\n1,2\n' > latin.csv
 status=0; vcdf discover latin.csv --out latin 2> err.txt || status=$?
 test "$status" -eq 2
 grep -F "latin.csv: not UTF-8 text" err.txt
+printf '{"method": "pcmci"}\n' > pcmci.json
+status=0; vcdf discover data/series_000.csv --config pcmci.json --out pcmci 2> err.txt || status=$?
+test "$status" -eq 2
+grep -F "unknown discoverer" err.txt
+test ! -e pcmci
 status=0; vcdf discover data --out dirrun 2> err.txt || status=$?
 test "$status" -eq 2
 grep -F "series file data" err.txt

@@ -21,10 +21,9 @@ from .consensus import (
 from .discovery import (
     DISCOVERERS,
     BaseDiscoverer,
+    Discoverer,
     DiscovererConfig,
-    LaggedRegressionDiscoverer,
     VarFit,
-    VarLingamDiscoverer,
     direct_lingam_order,
     fit_var,
     lagreg_discover,
@@ -66,18 +65,17 @@ __all__ = [
     "DEFAULT_DENSITY",
     "DEFAULT_MAX_LAG",
     "DISCOVERERS",
+    "Discoverer",
     "DiscovererConfig",
     "Edge",
     "EdgeStability",
     "F1Result",
     "LabeledDataset",
-    "LaggedRegressionDiscoverer",
     "MultivariateSeries",
     "SETTINGS",
     "ScmSpec",
     "StabilityReport",
     "VarFit",
-    "VarLingamDiscoverer",
     "VcdfConfig",
     "WindowGraph",
     "aggregate",

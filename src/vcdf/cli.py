@@ -176,9 +176,8 @@ def cmd_generate(args) -> int:
 def cmd_discover(args) -> int:
     config = _load_config_file(args.config, {"method", "vcdf", "discoverer", "out"}) if args.config else {}
     method = _resolve(str, args.method, config, "method", "varlingam")
-    if method not in DISCOVERERS:
-        raise ValueError(f"unknown method {method!r}, expected one of {', '.join(sorted(DISCOVERERS))}")
     disc_config = _section(DiscovererConfig, args, config.get("discoverer", {}), "discoverer")
+    base = make_discoverer(method, disc_config)
     vcdf_sub = _vcdf_section(config)
     use_vcdf = args.vcdf or vcdf_sub is not None
     vcdf_config = _section(VcdfConfig, args, vcdf_sub or {}, "vcdf") if use_vcdf else None
@@ -190,7 +189,6 @@ def cmd_discover(args) -> int:
     if truth is not None and truth.n != series.n_vars:
         raise ValueError(f"variable count mismatch: series n={series.n_vars}, truth n={truth.n}")
 
-    base = make_discoverer(method, disc_config)
     started = time.perf_counter()
     graph, report = _estimate(series, base, vcdf_config)
     seconds = time.perf_counter() - started
@@ -406,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="estimate a causal graph from a series CSV")
     dis.add_argument("series", help="input series CSV")
     dis.add_argument("--config", help="JSON experiment config; flags override its values")
-    dis.add_argument("--method", choices=sorted(DISCOVERERS))
+    dis.add_argument("--method", choices=DISCOVERERS)
     dis.add_argument("--vcdf", action="store_true", help="wrap the method in stability filtering")
     dis.add_argument("--truth", help="truth graph JSON; adds a metrics file")
     dis.add_argument("--out", help="output directory")

@@ -90,7 +90,7 @@ def directional_consistency(r0: float, fold_estimates: tuple[float, ...] | list[
 
 
 def relative_variability(
-    r0: float, fold_estimates: tuple[float, ...] | list[float], epsilon: float = 1e-8
+    r0: float, fold_estimates: tuple[float, ...] | list[float], epsilon: float = VcdfConfig.epsilon
 ) -> float:
     """Population spread of the fold estimates relative to the full-run magnitude.
 
@@ -141,7 +141,7 @@ class StabilityReport:
 
 
 def run_vcdf(
-    series: MultivariateSeries, base: BaseDiscoverer, config: VcdfConfig | None = None
+    series: MultivariateSeries, base: BaseDiscoverer, config: VcdfConfig = VcdfConfig()
 ) -> tuple[WindowGraph, StabilityReport]:
     """Filter the base method's full-run graph by cross-fold stability.
 
@@ -149,7 +149,6 @@ def run_vcdf(
     that fold, which both breaks sign agreement and inflates the spread; this
     makes disappearance across folds the strongest removal signal.
     """
-    config = config if config is not None else VcdfConfig()
     plan = make_fold_plan(series.n_steps, config.k)
     full_graph = base.discover(series)
     fold_weights = []

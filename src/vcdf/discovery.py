@@ -13,10 +13,9 @@ plus its own edge rule:
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -345,43 +344,28 @@ def lagreg_discover(series: MultivariateSeries, config: DiscovererConfig) -> Win
     return _window_graph(fit.coefs, significant, 1, config)
 
 
-class BaseDiscoverer(ABC):
-    """A deterministic map from a multivariate series to a window graph."""
+class BaseDiscoverer(Protocol):
+    """A base method: any deterministic map from a multivariate series to a window graph."""
+
+    def discover(self, series: MultivariateSeries) -> WindowGraph: ...
+
+
+DISCOVERERS = ("lagreg", "varlingam")
+
+
+class Discoverer(NamedTuple):
+    """One of the shipped base methods with its configuration; ``make_discoverer`` checks the id."""
 
     method_id: str
-
-    def __init__(self, config: DiscovererConfig | None = None) -> None:
-        self.config = config if config is not None else DiscovererConfig()
-
-    @abstractmethod
-    def discover(self, series: MultivariateSeries) -> WindowGraph:
-        raise NotImplementedError
-
-
-class VarLingamDiscoverer(BaseDiscoverer):
-    method_id = "varlingam"
+    config: DiscovererConfig
 
     def discover(self, series: MultivariateSeries) -> WindowGraph:
-        return varlingam_discover(series, self.config)
+        # Looked up by module-global name at call time, so a rebound function is the one called.
+        method = varlingam_discover if self.method_id == "varlingam" else lagreg_discover
+        return method(series, self.config)
 
 
-class LaggedRegressionDiscoverer(BaseDiscoverer):
-    method_id = "lagreg"
-
-    def discover(self, series: MultivariateSeries) -> WindowGraph:
-        return lagreg_discover(series, self.config)
-
-
-DISCOVERERS: dict[str, type[BaseDiscoverer]] = {
-    "varlingam": VarLingamDiscoverer,
-    "lagreg": LaggedRegressionDiscoverer,
-}
-
-
-def make_discoverer(method_id: str, config: DiscovererConfig | None = None) -> BaseDiscoverer:
-    try:
-        cls = DISCOVERERS[method_id]
-    except KeyError:
-        known = ", ".join(sorted(DISCOVERERS))
-        raise ValueError(f"unknown discoverer {method_id!r}, expected one of: {known}") from None
-    return cls(config)
+def make_discoverer(method_id: str, config: DiscovererConfig = DiscovererConfig()) -> Discoverer:
+    if method_id not in DISCOVERERS:
+        raise ValueError(f"unknown discoverer {method_id!r}, expected one of: {', '.join(DISCOVERERS)}")
+    return Discoverer(method_id, config)

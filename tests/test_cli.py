@@ -210,6 +210,18 @@ def test_discover_config_value_of_the_wrong_type_exits_2(dataset_dir, tmp_path, 
         assert not out.exists()
 
 
+def test_discover_config_unknown_method_exits_2_before_reading_the_series(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "pcmci"}))
+    out = tmp_path / "nothing"
+    assert run("discover", tmp_path / "absent.csv", "--config", config, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "unknown discoverer 'pcmci'" in err
+    assert "lagreg" in err and "varlingam" in err
+    assert "not found" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value, k", [(True, 5), ({}, 5), ({"k": 4}, 4), (False, None)])
 def test_discover_config_vcdf_key_switches_the_filter(value, k, dataset_dir, tmp_path):
     config = tmp_path / "config.json"

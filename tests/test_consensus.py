@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdf import (
-    BaseDiscoverer,
     Edge,
     MultivariateSeries,
     ScmSpec,
@@ -29,13 +28,10 @@ from vcdf import (
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
 
-class CorrelationStub(BaseDiscoverer):
+class CorrelationStub:
     """Cheap deterministic stand-in: thresholded lag-1 cross correlations."""
 
-    method_id = "corrstub"
-
     def __init__(self, cutoff=0.25):
-        super().__init__()
         self.cutoff = cutoff
 
     def discover(self, series):
@@ -325,11 +321,8 @@ def test_w_interpolates_between_endpoints():
 def test_absent_everywhere_means_zero_consistency():
     """An edge only the full-sample graph contains is removed for any tau_c > 0."""
 
-    class FullOnlyStub(BaseDiscoverer):
-        method_id = "fullonly"
-
+    class FullOnlyStub:
         def __init__(self, full_length):
-            super().__init__()
             self.full_length = full_length
 
         def discover(self, series):

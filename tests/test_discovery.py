@@ -796,7 +796,7 @@ def test_ols_core_falls_back_to_qr_only_for_a_nearly_dependent_column(monkeypatc
 
 
 # ---------------------------------------------------------------------------
-# discoverer registry
+# the Discoverer record
 # ---------------------------------------------------------------------------
 
 def test_make_discoverer_round_trip():
@@ -806,6 +806,27 @@ def test_make_discoverer_round_trip():
         disc = make_discoverer(method_id, config)
         assert disc.method_id == method_id
         assert disc.discover(series) == direct(series, config)
+
+
+@pytest.mark.parametrize("method_id", ["varlingam", "lagreg"])
+def test_discoverer_looks_its_method_up_at_call_time(method_id, monkeypatch):
+    """A function rebound on the module after construction (as a tracer does) is the one called."""
+    series = simulate(_single_edge_spec(1), 200).series
+    config = DiscovererConfig(max_lag=2)
+    disc = make_discoverer(method_id, config)
+    calls, results = [], {}
+    for name in ("varlingam_discover", "lagreg_discover"):
+        results[name] = object()
+
+        def sentinel(got_series, got_config, name=name):
+            calls.append((name, got_series, got_config))
+            return results[name]
+
+        monkeypatch.setattr(discovery, name, sentinel)
+    assert disc.discover(series) is results[f"{method_id}_discover"]
+    [(name, got_series, got_config)] = calls
+    assert name == f"{method_id}_discover"
+    assert got_series is series and got_config is config
 
 
 def test_make_discoverer_rejects_unknown_ids():

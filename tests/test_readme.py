@@ -1,0 +1,21 @@
+"""The README's Python examples run as written."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_examples():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {"__name__": "__readme__"})
