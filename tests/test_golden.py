@@ -12,7 +12,9 @@ output must leave every one of these tests passing with no golden byte edited.
 The bench table golden is rendered from the golden report with fixed stand-in
 timings, so its paired delta and time-ratio columns are pinned too.
 ``orders.json`` holds the DirectLiNGAM causal orders of `lingam_orders` below,
-so a change to the ordering code must reproduce every order exactly.
+so a change to the ordering code must reproduce every order exactly; ``b0.json``
+holds the sha256 of the instantaneous coefficients of the same cells
+(`lingam_b0_digests`), so it must reproduce every b0 bit for bit too.
 ``simulate.json`` holds the sha256 of the simulated values of `simulate_digests`
 below, so a change to the simulator must reproduce every setting bit for bit.
 """
@@ -102,6 +104,24 @@ def lingam_orders() -> dict:
 def test_direct_lingam_orders_match_golden():
     golden = json.loads((GOLDEN / "orders.json").read_text(encoding="utf-8"))
     assert lingam_orders() == golden
+
+
+def lingam_b0_digests() -> dict:
+    """sha256 of the ``direct_lingam_order`` b0 bytes of each `lingam_orders` cell."""
+    digests = {}
+    for setting in SETTINGS:
+        for n, T in ORDER_SHAPES:
+            suite = benchmark_suite(setting, n, T, 2, 0)
+            digests[f"{setting} n={n} T={T}"] = [
+                hashlib.sha256(direct_lingam_order(fit_var(ds.series, 3).residuals)[1].tobytes()).hexdigest()
+                for ds in suite
+            ]
+    return digests
+
+
+def test_direct_lingam_b0_matches_golden():
+    golden = json.loads((GOLDEN / "b0.json").read_text(encoding="utf-8"))
+    assert lingam_b0_digests() == golden
 
 
 SIMULATE_SHAPES = ((5, 300), (8, 1000), (15, 4000))
