@@ -12,7 +12,9 @@
 # filter, whose fold weights then spread beyond the float range, must exit 3. One cell of
 # the last row (only ever a target) set to 1e200 must exit 3 with the range error and no
 # RuntimeWarning, for both methods. A config file naming an unknown method exits 2 with
-# "unknown discoverer" and no output directory.
+# "unknown discoverer" and no output directory. The bench report has its 8 rows, and each
+# vcdf-varlingam row took at least as long as the varlingam row at the same T, whose
+# run is the full run inside it.
 #
 # Usage, from an empty scratch directory: bash -e path/to/console_smoke.sh
 set -e
@@ -20,7 +22,14 @@ set -e
 vcdf generate --setting linear --n 5 --T 300 --realizations 1 --seed 0 --out data
 vcdf discover data/series_000.csv --vcdf --truth data/truth_000.json --out run
 vcdf evaluate run/series_000.graph.json data/truth_000.json
-vcdf bench runtime --n 5 --realizations 1
+vcdf bench runtime --n 5 --realizations 1 --out bench
+python3 -c '
+import json
+rows = json.load(open("bench/report.json"))["rows"]
+assert len(rows) == 8, len(rows)
+base = {row["T"]: row["seconds_mean"] for row in rows if row["method"] == "varlingam"}
+assert all(row["seconds_mean"] >= base[row["T"]] for row in rows if row["method"] == "vcdf-varlingam"), rows
+'
 status=0; vcdf evaluate run/series_000.graph.json missing.json || status=$?
 test "$status" -eq 2
 printf '\377a,b\n1,2\n' > latin.csv

@@ -12,6 +12,7 @@ plus its own edge rule:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -176,19 +177,21 @@ def _entropy(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` and ``b`` are scratch arrays of ``u``'s shape, overwritten. log cosh(u)
     is taken as |u| + log1p(exp(-2|u|)) - log 2, which stays finite for any
-    finite u (cosh itself overflows once |u| > ~710).
+    finite u (cosh itself overflows once |u| > ~710). Each mean is the sum
+    divided by the count, as ``ndarray.mean`` computes it, without its overhead.
     """
+    count = u.shape[-1]
     np.abs(u, out=a)
     np.multiply(a, -2.0, out=b)
     np.exp(b, out=b)
     np.log1p(b, out=b)
     b += a
-    log_cosh = b.mean(axis=-1) - math.log(2.0)
+    log_cosh = np.add.reduce(b, axis=-1) / count - math.log(2.0)
     np.multiply(u, u, out=a)
     a *= -0.5
     np.exp(a, out=a)
     a *= u
-    gauss = a.mean(axis=-1)
+    gauss = np.add.reduce(a, axis=-1) / count
     return (1.0 + math.log(2.0 * math.pi)) / 2.0 - _K1 * (log_cosh - _GAMMA) ** 2 - _K2 * gauss**2
 
 
@@ -197,7 +200,7 @@ def _unit_rows(x: np.ndarray, sq: np.ndarray) -> np.ndarray:
     which must exceed 1e-12: the ordering's one degeneracy rule, as every work column
     starts at deviation 1. ``sq`` is a scratch array of ``x``'s shape, overwritten."""
     np.multiply(x, x, out=sq)
-    std = np.sqrt(sq.mean(axis=-1, keepdims=True))
+    std = np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True) / x.shape[-1])
     if (std <= _ZERO_TOLERANCE).any():
         raise ValueError("degenerate (near-constant) residual column")
     x /= std
@@ -214,6 +217,17 @@ def _scratch(rows: int, n: int) -> np.ndarray:
     """The three buffers ``_select_exogenous`` computes in for ``rows`` x ``n`` work columns:
     each holds a batch of candidate slabs or all the active rows."""
     return np.empty((3, max(_BATCH_VALUES, rows * n)))
+
+
+@functools.lru_cache(maxsize=64)
+def _off_diagonal(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(others, flat)`` for m active rows, read-only and built once per m: others[i] lists
+    the rows other than i, in order, and flat[i, k] is entry (i, others[i, k])'s index in a
+    raveled m x m matrix."""
+    flat = np.arange(m * m).reshape(m, m)[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    others = flat % m
+    flat.flags.writeable = others.flags.writeable = False
+    return others, flat
 
 
 def _select_exogenous(work: np.ndarray, active: list[int], scratch: np.ndarray) -> int:
@@ -235,13 +249,11 @@ def _select_exogenous(work: np.ndarray, active: list[int], scratch: np.ndarray) 
     sq, a, b = (buf[: m * T].reshape(m, T) for buf in scratch)
     entropy = _entropy(_unit_rows(x, sq), a, b)
     corr = x @ x.T / T
-    # Row i of the off-diagonal pattern: others[i] are the active rows other than i, in order,
-    # and weights[i, k] is row i's correlation with others[i, k].
-    off = ~np.eye(m, dtype=bool)
-    others = np.nonzero(off)[1].reshape(m, m - 1)
-    weights = corr[off].reshape(m, m - 1, 1)
-    # pair_entropy[i, k]: entropy proxy of variable i's residual on others[i, k]
-    pair_entropy = np.empty((m, m - 1))
+    # weights[i, k] is row i's correlation with others[i, k].
+    others, flat = _off_diagonal(m)
+    weights = np.take(corr, flat)[..., None]
+    # residual_entropy[i, j]: entropy proxy of variable i's residual on variable j
+    residual_entropy = np.zeros((m, m))
     batch = max(1, _BATCH_VALUES // ((m - 1) * T))
     for start in range(0, m, batch):
         rows = slice(start, start + batch)
@@ -251,9 +263,7 @@ def _select_exogenous(work: np.ndarray, active: list[int], scratch: np.ndarray) 
         np.take(x, block, axis=0, out=r, mode="clip")
         r *= weights[rows]
         np.subtract(x[rows, None], r, out=r)
-        pair_entropy[rows] = _entropy(_unit_rows(r, a), a, b)
-    residual_entropy = np.zeros((m, m))
-    residual_entropy[off] = pair_entropy.ravel()
+        np.put(residual_entropy, flat[rows], _entropy(_unit_rows(r, a), a, b))
     direction = (entropy[None, :] + residual_entropy) - (entropy[:, None] + residual_entropy.T)
     scores = np.square(np.minimum(direction, 0.0)).sum(axis=1)
     if not np.isfinite(scores).all():
@@ -296,20 +306,29 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
         order.append(chosen)
         active.remove(chosen)
         if active:
-            # The pivot passed the degeneracy rule in this step's selection.
+            # The pivot passed the degeneracy rule in this step's selection. Each mean, and
+            # the variance, is the sum over the count that ndarray.mean and .var compute.
             pivot = work[:, chosen]
             rest = work[:, active]
-            covs = (rest * pivot[:, None]).mean(axis=0) - rest.mean(axis=0) * float(pivot.mean())
-            deflation[active, chosen] = covs / float(pivot.var())
-            work[:, active] = rest - np.outer(pivot, deflation[active, chosen])
+            pivot_mean = np.add.reduce(pivot) / rows
+            centred_pivot = pivot - pivot_mean
+            variance = float(np.add.reduce(centred_pivot * centred_pivot) / rows)
+            means = np.add.reduce(rest, axis=0) / rows
+            covs = np.add.reduce(rest * pivot[:, None], axis=0) / rows - means * float(pivot_mean)
+            coefs = deflation[active, chosen] = covs / variance
+            rest -= pivot[:, None] * coefs
+            work[:, active] = rest
 
     # The final work columns W are the residuals of the standardized columns S on
     # their predecessors. With G = deflation, S = W (I + G)' and S (I - b0)' = W,
-    # so b0 = I - (I + G)^-1, solved row by row in causal order.
-    b0 = np.zeros((n, n))
+    # so b0 = I - (I + G)^-1, solved row by row in causal order: in those coordinates
+    # G and b0 are strictly lower triangular, and each row's predecessors are a prefix.
+    causal = deflation[np.ix_(order, order)]
+    solved = np.zeros((n, n))
     for idx in range(1, n):
-        target, preds = order[idx], order[:idx]
-        b0[target, preds] = deflation[target, preds] @ (np.eye(idx) - b0[np.ix_(preds, preds)])
+        solved[idx, :idx] = causal[idx, :idx] @ (np.eye(idx) - solved[:idx, :idx])
+    b0 = np.empty((n, n))
+    b0[np.ix_(order, order)] = solved
     # Clamped in standardized units, so the zero pattern is the same in any units.
     b0[np.abs(b0) < _ZERO_TOLERANCE] = 0.0
     b0 *= scale[:, None] / scale

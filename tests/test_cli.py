@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vcdf import DiscovererConfig, MultivariateSeries, VcdfConfig, read_graph_json, read_series_csv, write_series_csv
+from vcdf import cli
 from vcdf.cli import derive_seed, main, render_bench_table
 
 
@@ -426,6 +427,34 @@ def test_bench_runtime_rows_and_ratio(tmp_path):
     for T in (250, 500, 1000, 2000):
         ratio = cells[(T, "vcdf-varlingam")]["seconds_mean"] / cells[(T, "varlingam")]["seconds_mean"]
         assert 1.5 < ratio < 15  # k=5 wrapping: desk-scale sanity band
+
+
+def test_bench_runs_each_base_k_plus_1_times_per_dataset(tmp_path, monkeypatch):
+    # The vcdf-varlingam cell's full run is also the varlingam cell's run.
+    lengths = []
+    make_discoverer = cli.make_discoverer
+
+    class Counting:
+        def __init__(self, base):
+            self.base = base
+
+        def discover(self, series):
+            lengths.append(series.n_steps)
+            return self.base.discover(series)
+
+    monkeypatch.setattr(cli, "make_discoverer", lambda method_id, config: Counting(make_discoverer(method_id, config)))
+    out = tmp_path / "bench"
+    assert run("bench", "runtime", "--n", "5", "--realizations", "2", "--seed", "3", "--out", out) == 0
+    k, realizations, Ts = VcdfConfig().k, 2, (250, 500, 1000, 2000)
+    assert len(lengths) == len(Ts) * realizations * (k + 1)
+    for T in Ts:
+        assert lengths.count(T) == realizations  # one full run per dataset
+    report = json.loads((out / "report.json").read_text())
+    cells = {(row["T"], row["method"]): row for row in report["rows"]}
+    assert [(row["T"], row["method"]) for row in report["rows"]] == [
+        (T, method) for T in Ts for method in ("varlingam", "vcdf-varlingam")]
+    for T in Ts:
+        assert cells[T, "vcdf-varlingam"]["seconds_mean"] >= cells[T, "varlingam"]["seconds_mean"]
 
 
 def test_bench_lengths_preset_uses_the_drifting_setting(tmp_path):

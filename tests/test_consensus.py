@@ -363,6 +363,31 @@ def test_fold_count_is_checked_before_any_base_fit():
     assert base.calls == 0
 
 
+def test_run_vcdf_fits_the_series_itself_first_then_each_fold_in_order():
+    # vcdf bench reuses the first call's graph and time as the bare base run,
+    # and perfbench reads the first fit under run_vcdf as the full fit.
+    class RecordingStub(CorrelationStub):
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def discover(self, series):
+            self.seen.append(series)
+            return super().discover(series)
+
+    series, config = _series(6, T=153), VcdfConfig(k=4)
+    base = RecordingStub()
+    run_vcdf(series, base, config)
+    assert len(base.seen) == config.k + 1
+    assert base.seen[0] is series
+    plan = make_fold_plan(series.n_steps, config.k)
+    for fold, training in enumerate(base.seen[1:]):
+        expected = extract_training(series, plan, fold)
+        assert training is not series
+        assert training.n_steps == expected.n_steps
+        np.testing.assert_array_equal(training.values, expected.values)
+
+
 def test_fold_failures_carry_the_fold_index():
     # 60 rows per training set is too short for varlingam at n=3: the fold
     # discovery, not the full-sample one, is what fails
