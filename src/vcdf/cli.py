@@ -45,13 +45,13 @@ EXIT_COMPUTE = 3
 PAPER_SCALE_N = 15
 
 
-# A bench grid crosses every setting, length and method of its row.
-BenchPreset = namedtuple("BenchPreset", "settings lengths methods realizations")
-_PAIRED_METHODS = ("varlingam", "vcdf-varlingam", "lagreg", "vcdf-lagreg")
+# A bench grid crosses every setting, length and base of its row; each base gives two
+# methods, <m> and vcdf-<m>.
+BenchPreset = namedtuple("BenchPreset", "settings lengths bases realizations")
 BENCH_PRESETS = {
-    "characteristics": BenchPreset(SETTINGS, (1000,), _PAIRED_METHODS, 10),
-    "lengths": BenchPreset(("trended",), (250, 1000, 2000), _PAIRED_METHODS, 10),
-    "runtime": BenchPreset(("linear",), (250, 500, 1000, 2000), ("varlingam", "vcdf-varlingam"), 5),
+    "characteristics": BenchPreset(SETTINGS, (1000,), ("varlingam", "lagreg"), 10),
+    "lengths": BenchPreset(("trended",), (250, 1000, 2000), ("varlingam", "lagreg"), 10),
+    "runtime": BenchPreset(("linear",), (250, 500, 1000, 2000), ("varlingam",), 5),
 }
 
 # Each generate key, in flag order: its kind, its default (None: required) and its help.
@@ -269,10 +269,10 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _bench_grid(preset: str, setting_override: str | None) -> list[tuple[str, int, str]]:
-    """(setting, T, method) cells; datasets are shared between methods of a cell."""
+    """(setting, T, base) cells; datasets are shared between a cell's two methods."""
     p = BENCH_PRESETS[preset]
     settings = (setting_override,) if setting_override else p.settings
-    return [(s, T, m) for s in settings for T in p.lengths for m in p.methods]
+    return [(s, T, b) for s in settings for T in p.lengths for b in p.bases]
 
 
 def _split_method(method: str) -> tuple[str, bool]:
@@ -322,32 +322,26 @@ def cmd_bench(args) -> int:
     # Every cell's datasets are drawn before any fit, so an out-of-range value fails first.
     seeds = {(setting, T): derive_seed(args.seed, f"bench:{args.preset}:{setting}:T={T}") for setting, T, _ in grid}
     suites = {(setting, T): benchmark_suite(setting, n, T, realizations, seed) for (setting, T), seed in seeds.items()}
-    # A <m> cell with a vcdf-<m> partner takes that cell's full runs, so each base runs k+1
-    # times per dataset; the rows are still reported in grid order.
-    cells, rows = set(grid), {}
-    for setting, T, method in grid:
-        base_id, wrapped = _split_method(method)
-        if not wrapped and (setting, T, f"vcdf-{method}") in cells:
-            continue
+    # The <m> row takes the vcdf-<m> cell's full runs, so each base runs k+1 times per dataset.
+    rows = []
+    for setting, T, base_id in grid:
         suite_seed, suite = seeds[setting, T], suites[setting, T]
         base = make_discoverer(base_id, disc_config)
         graphs, seconds, full_runs = [], [], []
         for ds in suite:
             full_runs.append(_FullRun(base, ds.series))
             t0 = time.perf_counter()
-            graph, _ = _estimate(ds.series, full_runs[-1], vcdf_config if wrapped else None)
+            graph, _ = _estimate(ds.series, full_runs[-1], vcdf_config)
             seconds.append(time.perf_counter() - t0)
             graphs.append(graph)
-        rows[setting, T, method] = _bench_row(setting, T, method, suite_seed, suite, graphs, seconds)
-        if wrapped and (setting, T, base_id) in cells:
-            rows[setting, T, base_id] = _bench_row(setting, T, base_id, suite_seed, suite,
-                                                   [run.graph for run in full_runs],
-                                                   [run.seconds for run in full_runs])
+        rows.append(_bench_row(setting, T, base_id, suite_seed, suite,
+                               [run.graph for run in full_runs], [run.seconds for run in full_runs]))
+        rows.append(_bench_row(setting, T, f"vcdf-{base_id}", suite_seed, suite, graphs, seconds))
 
     report = {
         "preset": args.preset, "n": n, "realizations": realizations, "seed": args.seed,
         "discoverer": asdict(disc_config), "vcdf": asdict(vcdf_config),
-        "rows": [rows[cell] for cell in grid],
+        "rows": rows,
     }
     table = render_bench_table(report)
     print(table, end="")

@@ -12,7 +12,6 @@ plus its own edge rule:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -219,17 +218,6 @@ def _scratch(rows: int, n: int) -> np.ndarray:
     return np.empty((3, max(_BATCH_VALUES, rows * n)))
 
 
-@functools.lru_cache(maxsize=64)
-def _off_diagonal(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(others, flat)`` for m active rows, read-only and built once per m: others[i] lists
-    the rows other than i, in order, and flat[i, k] is entry (i, others[i, k])'s index in a
-    raveled m x m matrix."""
-    flat = np.arange(m * m).reshape(m, m)[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    others = flat % m
-    flat.flags.writeable = others.flags.writeable = False
-    return others, flat
-
-
 def _select_exogenous(work: np.ndarray, active: list[int], scratch: np.ndarray) -> int:
     """Pick the most plausibly exogenous variable among the active columns.
 
@@ -249,11 +237,13 @@ def _select_exogenous(work: np.ndarray, active: list[int], scratch: np.ndarray) 
     sq, a, b = (buf[: m * T].reshape(m, T) for buf in scratch)
     entropy = _entropy(_unit_rows(x, sq), a, b)
     corr = x @ x.T / T
-    # weights[i, k] is row i's correlation with others[i, k].
-    others, flat = _off_diagonal(m)
-    weights = np.take(corr, flat)[..., None]
-    # residual_entropy[i, j]: entropy proxy of variable i's residual on variable j
-    residual_entropy = np.zeros((m, m))
+    # Row i of the off-diagonal pattern: others[i] are the active rows other than i, in order,
+    # and weights[i, k] is row i's correlation with others[i, k].
+    off = ~np.eye(m, dtype=bool)
+    others = np.nonzero(off)[1].reshape(m, m - 1)
+    weights = corr[off].reshape(m, m - 1, 1)
+    # pair_entropy[i, k]: entropy proxy of variable i's residual on others[i, k]
+    pair_entropy = np.empty((m, m - 1))
     batch = max(1, _BATCH_VALUES // ((m - 1) * T))
     for start in range(0, m, batch):
         rows = slice(start, start + batch)
@@ -263,7 +253,9 @@ def _select_exogenous(work: np.ndarray, active: list[int], scratch: np.ndarray) 
         np.take(x, block, axis=0, out=r, mode="clip")
         r *= weights[rows]
         np.subtract(x[rows, None], r, out=r)
-        np.put(residual_entropy, flat[rows], _entropy(_unit_rows(r, a), a, b))
+        pair_entropy[rows] = _entropy(_unit_rows(r, a), a, b)
+    residual_entropy = np.zeros((m, m))
+    residual_entropy[off] = pair_entropy.ravel()
     direction = (entropy[None, :] + residual_entropy) - (entropy[:, None] + residual_entropy.T)
     scores = np.square(np.minimum(direction, 0.0)).sum(axis=1)
     if not np.isfinite(scores).all():
@@ -315,20 +307,16 @@ def direct_lingam_order(residuals: np.ndarray) -> tuple[list[int], np.ndarray]:
             variance = float(np.add.reduce(centred_pivot * centred_pivot) / rows)
             means = np.add.reduce(rest, axis=0) / rows
             covs = np.add.reduce(rest * pivot[:, None], axis=0) / rows - means * float(pivot_mean)
-            coefs = deflation[active, chosen] = covs / variance
-            rest -= pivot[:, None] * coefs
-            work[:, active] = rest
+            deflation[active, chosen] = covs / variance
+            work[:, active] = rest - np.outer(pivot, deflation[active, chosen])
 
     # The final work columns W are the residuals of the standardized columns S on
     # their predecessors. With G = deflation, S = W (I + G)' and S (I - b0)' = W,
-    # so b0 = I - (I + G)^-1, solved row by row in causal order: in those coordinates
-    # G and b0 are strictly lower triangular, and each row's predecessors are a prefix.
-    causal = deflation[np.ix_(order, order)]
-    solved = np.zeros((n, n))
+    # so b0 = I - (I + G)^-1, solved row by row in causal order.
+    b0 = np.zeros((n, n))
     for idx in range(1, n):
-        solved[idx, :idx] = causal[idx, :idx] @ (np.eye(idx) - solved[:idx, :idx])
-    b0 = np.empty((n, n))
-    b0[np.ix_(order, order)] = solved
+        target, preds = order[idx], order[:idx]
+        b0[target, preds] = deflation[target, preds] @ (np.eye(idx) - b0[np.ix_(preds, preds)])
     # Clamped in standardized units, so the zero pattern is the same in any units.
     b0[np.abs(b0) < _ZERO_TOLERANCE] = 0.0
     b0 *= scale[:, None] / scale

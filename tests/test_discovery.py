@@ -360,6 +360,22 @@ def test_entropy_proxy_is_finite_far_in_the_tails():
         assert np.allclose(value, closed_form, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("shape, axis", [((1000,), 0), ((7, 800), -1), ((5, 3, 4000), -1),
+                                         ((800, 7), 0), ((800, 7), "column")])
+def test_sums_over_the_count_are_the_bits_of_mean_and_var(shape, axis):
+    # The ordering divides np.add.reduce sums by the count where it once called .mean and
+    # .var; the goldens were made with those, so the two must agree to the bit.
+    x = np.random.default_rng(1).standard_normal(shape) * 3.0 + 0.5
+    if axis == "column":  # a strided view, as the ordering's pivot column is
+        x, axis = x[:, 3], 0
+    count = x.shape[axis]
+    mean = np.add.reduce(x, axis=axis, keepdims=True) / count
+    assert mean.tobytes() == x.mean(axis=axis, keepdims=True).tobytes()
+    centred = x - mean
+    variance = np.add.reduce(centred * centred, axis=axis) / count
+    assert variance.tobytes() == x.var(axis=axis).tobytes()
+
+
 def test_ordering_of_a_long_sample_with_an_outlier_raises_no_warning():
     # Standardized, the outlier sits near u = 756, where cosh(u) overflows.
     e = np.random.default_rng(0).random((600_000, 2))
