@@ -275,11 +275,6 @@ def _bench_grid(preset: str, setting_override: str | None) -> list[tuple[str, in
     return [(s, T, b) for s in settings for T in p.lengths for b in p.bases]
 
 
-def _split_method(method: str) -> tuple[str, bool]:
-    base_id = method.removeprefix("vcdf-")
-    return base_id, base_id != method
-
-
 class _FullRun:
     """A base that runs ``base`` and keeps the graph and seconds of its call on ``series`` itself.
 
@@ -354,33 +349,41 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _table_cells(row: dict) -> list[str]:
+    return [
+        str(row["setting"]),
+        str(row["T"]),
+        str(row["method"]),
+        "%.3f +- %.3f" % (row["window"]["f1_mean"], row["window"]["f1_std"]),
+        "%.3f +- %.3f" % (row["summary"]["f1_mean"], row["summary"]["f1_std"]),
+        "%.3f" % row["seconds_mean"],
+    ]
+
+
 def render_bench_table(report: dict) -> str:
     """Fixed-width table derived purely from the report document.
 
-    A ``vcdf-<m>`` row also shows its paired comparison with the ``<m>`` row of
-    the same (setting, T): the window and summary F1 deltas (vcdf minus base)
+    The rows come in pairs, a ``<m>`` row then the ``vcdf-<m>`` row of the same
+    (setting, T), as ``vcdf bench`` writes them. The ``vcdf-<m>`` row also shows
+    the paired comparison: the window and summary F1 deltas (vcdf minus base)
     and its mean time as a multiple of the base's. Base rows leave these blank.
     """
     headers = ["setting", "T", "method", "window F1", "summary F1", "seconds",
                "d window F1", "d summary F1", "time ratio"]
-    rows = {(row["setting"], row["T"], row["method"]): row for row in report["rows"]}
+    rows = report["rows"]
+    if len(rows) % 2:
+        raise ValueError(f"bench report has {len(rows)} rows; rows come in <m>, vcdf-<m> pairs")
     lines = []
-    for row in report["rows"]:
-        base_id, wrapped = _split_method(row["method"])
-        base = rows.get((row["setting"], row["T"], base_id)) if wrapped else None
-        paired = ["", "", ""] if base is None else [
+    for base, row in zip(rows[0::2], rows[1::2]):
+        if (row["setting"], row["T"], row["method"]) != (base["setting"], base["T"], f"vcdf-{base['method']}"):
+            raise ValueError(f"bench report row {row['method']} at {row['setting']}, T={row['T']} "
+                             f"does not pair with the {base['method']} row before it")
+        paired = [
             "%+.3f" % (row["window"]["f1_mean"] - base["window"]["f1_mean"]),
             "%+.3f" % (row["summary"]["f1_mean"] - base["summary"]["f1_mean"]),
             "%.2f" % (row["seconds_mean"] / base["seconds_mean"]),
         ]
-        lines.append([
-            str(row["setting"]),
-            str(row["T"]),
-            str(row["method"]),
-            "%.3f +- %.3f" % (row["window"]["f1_mean"], row["window"]["f1_std"]),
-            "%.3f +- %.3f" % (row["summary"]["f1_mean"], row["summary"]["f1_std"]),
-            "%.3f" % row["seconds_mean"],
-        ] + paired)
+        lines += [_table_cells(base) + ["", "", ""], _table_cells(row) + paired]
     widths = [max(len(headers[c]), max((len(line[c]) for line in lines), default=0))
               for c in range(len(headers))]
     def fmt(cells):

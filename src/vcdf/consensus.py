@@ -178,7 +178,8 @@ def stability_report_to_json(report: StabilityReport) -> str:
     """Deterministic JSON: config echo plus per-edge records sorted by edge key."""
     doc = {
         "config": asdict(report.config),
-        "edges": [asdict(e) for e in sorted(report.edges, key=lambda e: (e.cause, e.effect, e.lag))],
+        # vars() is the field dict in field order, as asdict() gives it, without the deep copy.
+        "edges": [vars(e) for e in sorted(report.edges, key=lambda e: (e.cause, e.effect, e.lag))],
     }
     return json.dumps(doc)
 

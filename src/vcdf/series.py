@@ -287,9 +287,9 @@ def write_series_csv(series: MultivariateSeries, path: str | Path) -> None:
     for name in series.names:
         if not _NAME_PATTERN.fullmatch(name):
             raise ValueError(f"variable name {name!r} is not CSV-safe (use [A-Za-z0-9_])")
+    # tolist() yields Python floats, whose repr is the shortest round-tripping form.
     lines = [",".join(series.names)]
-    for row in series.values:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines += [",".join(map(repr, row.tolist())) for row in series.values]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -17,7 +17,6 @@ trended   uniform    identity      drawn from +-[0.001, 0.01]
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,12 +229,65 @@ def _draw_noise(rng: np.random.Generator, law: str, shape: tuple[int, int]) -> n
     raise ValueError(f"unknown noise law {law!r}")
 
 
+def _compile_run(spec: ScmSpec):
+    """``run(x, noise, slope)``: fills ``x`` row by row with the system's compiled step.
+
+    For each variable in topological order the step reads ``acc = 0.0``, one
+    ``acc += <w> * h<lag>[<cause>]`` per lagged parent in ``lag_edges`` order,
+    one ``acc += <w> * r<cause>`` per instantaneous parent, ``tanh`` for the
+    tanh link, then ``r<j> = acc + d + e[j]``.  Only the spec's validated ints
+    and the ``repr`` of its weights enter the source, and each term is its own
+    statement, so nesting does not grow with the number of parents.
+    """
+    lag_parents: dict[int, list[Edge]] = {}
+    for edge in spec.lag_edges:
+        lag_parents.setdefault(edge.effect, []).append(edge)
+    inst_parents: dict[int, list[Edge]] = {}
+    for edge in spec.inst_edges:
+        inst_parents.setdefault(edge.effect, []).append(edge)
+    # h1 is the last row, h<max_lag> the oldest; each is a tuple of n floats and
+    # starts as +0.0s, which add nothing to an acc that is never -0.0 (see simulate).
+    history = [f"h{lag}" for lag in range(spec.max_lag, 0, -1)]
+    body = []
+    for j in instantaneous_order(spec.n, spec.inst_edges):
+        body.append("acc = 0.0")
+        body += [f"acc += {e.weight!r} * h{e.lag}[{e.cause}]" for e in lag_parents.get(j, ())]
+        body += [f"acc += {e.weight!r} * r{e.cause}" for e in inst_parents.get(j, ())]
+        if spec.link == "tanh":
+            body.append("acc = tanh(acc)")
+        body.append(f"r{j} = acc + d + e[{j}]")
+    row = "(" + "".join(f"r{j}, " for j in range(spec.n)) + ")"
+    source = "\n".join([
+        "def run(x, noise, slope):",
+        "    " + " = ".join(history) + " = (" + "0.0, " * spec.n + ")",
+        "    for t in range(len(x)):",
+        "        d = slope * t",
+        "        e = noise[t].tolist()",
+        *("        " + line for line in body),
+        f"        {', '.join(history)} = {', '.join(history[1:] + [row])}",
+        "        x[t] = h1",
+    ])
+    namespace = {"tanh": math.tanh}
+    exec(compile(source, f"<simulate n={spec.n}>", "exec"), namespace)
+    # Popped, so the namespace (run's globals) holds no cycle back to run.
+    return namespace.pop("run")
+
+
 def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDataset:
     """Simulate T steps of the system after discarding `burn_in` warm-up steps.
 
     Each step applies the link to the summed parent contributions, then adds
     drift and fresh noise, resolving instantaneous effects in topological
     order.  Output bits are fully determined by (spec, T, burn_in).
+
+    The step is compiled once per call into straight-line Python
+    (`_compile_run`) that runs on Python floats, which round exactly as float64
+    scalars do.  It performs the operations of a per-term loop over the same
+    edges, in the same order, so its bits are that loop's.  The one difference
+    changes no bit: the last `max_lag` rows start filled with ``+0.0``, so a
+    term whose lag reaches before step 0 adds ``w * 0.0`` where the loop
+    skipped it.  A sum is ``-0.0`` only when both addends are, and ``acc``
+    starts at ``+0.0``, so it is never ``-0.0`` and ``acc + w * 0.0 == acc``.
     """
     if T < 10 * spec.max_lag:
         raise ValueError(f"need T >= {10 * spec.max_lag} (10x max_lag) steps, got {T}")
@@ -245,38 +297,8 @@ def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDa
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
     total = burn_in + T
     noise = _draw_noise(rng, spec.noise, (total, spec.n))
-    lag_parents: dict[int, list[tuple[int, int, float]]] = {}
-    for edge in spec.lag_edges:
-        lag_parents.setdefault(edge.effect, []).append((edge.cause, edge.lag, edge.weight))
-    inst_parents: dict[int, list[tuple[int, float]]] = {}
-    for edge in spec.inst_edges:
-        inst_parents.setdefault(edge.effect, []).append((edge.cause, edge.weight))
-    plan = [
-        (j, lag_parents.get(j, ()), inst_parents.get(j, ()))
-        for j in instantaneous_order(spec.n, spec.inst_edges)
-    ]
-
-    # Steps run on Python floats, which round exactly as float64 scalars do;
-    # `history[-lag]` is row t - lag once t >= lag.
-    squash = math.tanh if spec.link == "tanh" else None
     x = np.empty((total, spec.n))
-    history: deque[list[float]] = deque(maxlen=spec.max_lag)
-    for t in range(total):
-        drift = spec.trend_slope * t
-        eps = noise[t].tolist()
-        row = [0.0] * spec.n
-        for j, lagged, inst in plan:
-            acc = 0.0
-            for cause, lag, weight in lagged:
-                if t >= lag:
-                    acc += weight * history[-lag][cause]
-            for cause, weight in inst:
-                acc += weight * row[cause]
-            if squash is not None:
-                acc = squash(acc)
-            row[j] = acc + drift + eps[j]
-        x[t] = row
-        history.append(row)
+    _compile_run(spec)(x, noise, spec.trend_slope)
     out = x[burn_in:]
     if not np.isfinite(out).all():
         raise ValueError("simulation overflowed to non-finite values")

@@ -417,6 +417,23 @@ def test_bench_report_rerenders_to_the_same_table(tmp_path):
     assert render_bench_table(report) == (out / "table.txt").read_text()
 
 
+def _table_row(setting, T, method):
+    f1 = {"f1_mean": 0.5, "f1_std": 0.1}
+    return {"setting": setting, "T": T, "method": method, "window": f1, "summary": f1, "seconds_mean": 0.1}
+
+
+@pytest.mark.parametrize("rows, fragment", [
+    ([("linear", 100, "varlingam")], "1 rows"),
+    ([("linear", 100, "vcdf-varlingam"), ("linear", 100, "varlingam")], "does not pair"),
+    ([("linear", 100, "varlingam"), ("linear", 100, "vcdf-lagreg")], "does not pair"),
+    ([("linear", 100, "varlingam"), ("linear", 200, "vcdf-varlingam")], "T=200 does not pair"),
+    ([("linear", 100, "lagreg"), ("trended", 100, "vcdf-lagreg")], "at trended"),
+])
+def test_bench_table_refuses_rows_that_do_not_come_in_pairs(rows, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        render_bench_table({"rows": [_table_row(*row) for row in rows]})
+
+
 def test_bench_runtime_rows_and_ratio(tmp_path):
     out = tmp_path / "bench"
     assert run("bench", "runtime", "--n", "5", "--realizations", "2",

@@ -189,13 +189,26 @@ def test_series_csv_round_trip(tmp_path_factory, series):
     np.testing.assert_array_equal(back.values, series.values)
 
 
+def reference_csv_text(series: MultivariateSeries) -> str:
+    """The writer's text as formatted cell by cell, each cell a NumPy scalar made a float."""
+    lines = [",".join(series.names)]
+    for row in series.values:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def test_series_csv_is_byte_stable(tmp_path):
-    series = MultivariateSeries(np.array([[0.1, -3.0], [1e-17, 2.5]]), ("a_1", "B2"))
+    # Signed zero, the smallest subnormal and normal, the first exponent forms, and a short decimal.
+    values = np.array([[0.1, -3.0, -0.0], [1e-17, 2.5, 5e-324],
+                       [2.2250738585072014e-308, 1e16, 1e22]])
+    series = MultivariateSeries(values, ("a_1", "B2", "c"))
     p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
     write_series_csv(series, p1)
     write_series_csv(series, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_text().splitlines()[0] == "a_1,B2"
+    assert p1.read_bytes() == reference_csv_text(series).encode("utf-8")
+    assert p1.read_text().splitlines()[0] == "a_1,B2,c"
+    assert read_series_csv(p1).values.tobytes() == values.tobytes()
 
 
 def test_write_rejects_unsafe_names(tmp_path):

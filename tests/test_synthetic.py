@@ -1,12 +1,16 @@
 """Random system construction, stationarity, simulation statistics, determinism."""
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcdf import Edge, ScmSpec, benchmark_suite, companion_spectral_radius, random_scm, simulate
-from vcdf.synthetic import SETTINGS, inst_matrix, lag_matrices
+from vcdf.series import instantaneous_order
+from vcdf.synthetic import _NOISE_STREAM, DEFAULT_BURN_IN, SETTINGS, _draw_noise, inst_matrix, lag_matrices
 
 
 def _chain_spec(weight=0.8, **kwargs):
@@ -124,6 +128,73 @@ def test_simulate_shape_names_and_determinism():
     again = simulate(spec, 300)
     np.testing.assert_array_equal(ds.series.values, again.series.values)
     assert ds.truth == spec.truth_graph()
+
+
+def reference_simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> np.ndarray:
+    """The simulated values as a per-term loop computes them: the oracle for the compiled step.
+
+    Each step sums a variable's lagged terms in ``lag_edges`` order, skipping
+    those that reach before step 0, then its instantaneous terms, on Python floats.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
+    total = burn_in + T
+    noise = _draw_noise(rng, spec.noise, (total, spec.n))
+    lag_parents, inst_parents = {}, {}
+    for edge in spec.lag_edges:
+        lag_parents.setdefault(edge.effect, []).append((edge.cause, edge.lag, edge.weight))
+    for edge in spec.inst_edges:
+        inst_parents.setdefault(edge.effect, []).append((edge.cause, edge.weight))
+    plan = [(j, lag_parents.get(j, ()), inst_parents.get(j, ()))
+            for j in instantaneous_order(spec.n, spec.inst_edges)]
+    squash = math.tanh if spec.link == "tanh" else None
+    x = np.empty((total, spec.n))
+    history = deque(maxlen=spec.max_lag)
+    for t in range(total):
+        drift = spec.trend_slope * t
+        eps = noise[t].tolist()
+        row = [0.0] * spec.n
+        for j, lagged, inst in plan:
+            acc = 0.0
+            for cause, lag, weight in lagged:
+                if t >= lag:
+                    acc += weight * history[-lag][cause]
+            for cause, weight in inst:
+                acc += weight * row[cause]
+            if squash is not None:
+                acc = squash(acc)
+            row[j] = acc + drift + eps[j]
+        x[t] = row
+        history.append(row)
+    return x[burn_in:]
+
+
+# Densities that place at least one lagged and one instantaneous edge at each n.
+_DENSITY = {2: 1.0, 5: 0.3, 15: 0.15}
+
+
+@pytest.mark.parametrize("n", sorted(_DENSITY))
+@pytest.mark.parametrize("burn_in", [0, 1, 200])
+@pytest.mark.parametrize("max_lag", [1, 2, 3])
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_simulate_matches_the_per_term_loop_bit_for_bit(setting, max_lag, burn_in, n):
+    spec = random_scm(n, max_lag, _DENSITY[n], setting, 100 * n + 10 * max_lag + burn_in)
+    assert spec.lag_edges and spec.inst_edges
+    T = 10 * max_lag + 7
+    values = simulate(spec, T, burn_in).series.values
+    assert values.tobytes() == reference_simulate(spec, T, burn_in).tobytes()
+
+
+def test_simulate_compiles_a_variable_with_597_parents():
+    """Variable 0 takes each of 199 noise-only variables at lags 1-3: spectral radius 0."""
+    rng = np.random.default_rng(0)
+    weights = rng.uniform(0.1, 0.9, 597) * rng.choice([-1.0, 1.0], 597)
+    edges = [Edge(cause, 0, lag, float(w))
+             for (cause, lag), w in zip([(c, l) for c in range(1, 200) for l in (1, 2, 3)], weights)]
+    spec = ScmSpec(n=200, max_lag=3, lag_edges=tuple(edges), inst_edges=(), trend_slope=-0.005, seed=4)
+    assert companion_spectral_radius(spec) == 0.0
+    for burn_in in (0, 5):
+        values = simulate(spec, 30, burn_in).series.values
+        assert values.tobytes() == reference_simulate(spec, 30, burn_in).tobytes()
 
 
 def test_simulate_rejects_short_runs_and_negative_burn_in():
