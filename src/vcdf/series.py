@@ -220,11 +220,6 @@ def instantaneous_order(n: int, edges: Iterable[Edge]) -> list[int]:
 # CSV series format: UTF-8, comma separated, mandatory header, '.' decimals.
 # ---------------------------------------------------------------------------
 
-# Body rows converted per numpy call: keeps the reader's transient field
-# strings to a few hundred rows' worth, whatever the file's length.
-_CHUNK_ROWS = 256
-
-
 def read_series_csv(path: str | Path) -> MultivariateSeries:
     """Parse a series CSV, reporting the offending row/column on bad input.
 
@@ -242,30 +237,28 @@ def read_series_csv(path: str | Path) -> MultivariateSeries:
     if len(set(names)) != len(names):
         dupes = sorted({x for x in names if names.count(x) > 1})
         raise ValueError(f"{path}: duplicate header names: {', '.join(dupes)}")
-    n = len(names)
-    if len(lines) == 1:
+    body = lines[1:]
+    if not body:
         raise ValueError(f"{path}: no data rows after header")
-    values = np.empty((len(lines) - 1, n))
-    for start in range(0, len(lines) - 1, _CHUNK_ROWS):
-        part = lines[1 + start : 1 + start + _CHUNK_ROWS]
-        block = values[start : start + len(part)]
-        # A chunk numpy cannot take whole goes field by field, which names its first bad cell.
-        if all(line.count(",") == n - 1 for line in part):
-            try:
-                block[:] = np.array(",".join(part).split(","), dtype=float).reshape(block.shape)
-            except ValueError:
-                pass
-            else:
-                if np.isfinite(block).all():
-                    continue
-        block[:] = _parse_rows(path, part, start + 1, n)
-    return MultivariateSeries(values, tuple(names))
+    # numpy's reader converts a cell as float() does (both end in PyOS_string_to_double), but it
+    # skips empty lines (warning when none is left) and refuses some float() syntax (1_000,
+    # non-ASCII digits); a body it does not take whole and finite goes field by field, which
+    # names the first bad cell.
+    if "" not in body:
+        try:
+            values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(body), len(names)) and np.isfinite(values).all():
+                return MultivariateSeries(values, tuple(names))
+    return MultivariateSeries(_parse_rows(path, body, len(names)), tuple(names))
 
 
-def _parse_rows(path: str | Path, lines: list[str], first_row: int, n: int) -> list[list[float]]:
-    """Field-by-field parse of body rows numbered from `first_row`; raises at the first bad cell."""
+def _parse_rows(path: str | Path, lines: list[str], n: int) -> list[list[float]]:
+    """Field-by-field parse of the body rows; raises at the first bad cell."""
     rows: list[list[float]] = []
-    for r, line in enumerate(lines, start=first_row):
+    for r, line in enumerate(lines, start=1):
         fields = line.split(",")
         if len(fields) != n:
             raise ValueError(f"{path}: row {r}: expected {n} fields, found {len(fields)}")
