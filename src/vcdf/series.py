@@ -316,8 +316,9 @@ def graph_from_json(text: str) -> WindowGraph:
 
 
 def read_graph_json(path: str | Path) -> WindowGraph:
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        return graph_from_json(Path(path).read_text(encoding="utf-8"))
+        return graph_from_json(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -1,12 +1,17 @@
 """End-to-end harness behavior: files written, exit codes, determinism, presets."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vcdf
 from vcdf import DiscovererConfig, MultivariateSeries, VcdfConfig, read_graph_json, read_series_csv, write_series_csv
 from vcdf import cli
 from vcdf.cli import derive_seed, main, render_bench_table
@@ -168,15 +173,20 @@ def test_discover_malformed_csv_exits_2_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["bad.csv", "bad.json"])
-def test_non_utf8_input_exits_2_naming_the_file(name, dataset_dir, tmp_path, capsys):
-    bad = tmp_path / name
+@pytest.mark.parametrize("role", ["series", "config", "truth", "graph"], ids=["bad.csv", "bad.json", "truth", "graph"])
+def test_non_utf8_input_exits_2_naming_the_file(role, dataset_dir, tmp_path, capsys):
+    bad = tmp_path / ("bad.csv" if role == "series" else "bad.json")
     bad.write_bytes(b"\xffa,b\n1,2\n")
     out = tmp_path / "nothing"
-    series, config = (bad, []) if name == "bad.csv" else (dataset_dir / "series_000.csv", ["--config", bad])
-    assert run("discover", series, *config, "--out", out) == 2
-    err = capsys.readouterr().err
-    assert f"file {bad}: not UTF-8 text" in err
+    series, truth = dataset_dir / "series_000.csv", dataset_dir / "truth_000.json"
+    argv = {
+        "series": ["discover", bad, "--out", out],
+        "config": ["discover", series, "--config", bad, "--out", out],
+        "truth": ["discover", series, "--truth", bad, "--out", out],
+        "graph": ["evaluate", bad, truth, "--out", out / "metrics.json"],
+    }[role]
+    assert run(*argv) == 2
+    assert f"error: {role} file {bad}: not UTF-8 text: invalid start byte at byte 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -527,6 +537,30 @@ def test_output_that_cannot_be_written_exits_3(argv, dataset_dir, tmp_path, caps
     err = capsys.readouterr().err
     assert "error: " in err and "File exists" in err
     assert blocked.read_text() == "a regular file\n"
+
+
+def test_the_module_entry_point_exits_with_the_code_and_one_error_line(tmp_path):
+    # A child process, so the exit code and stderr are what a shell sees from `python -m vcdf.cli`.
+    path = [str(Path(vcdf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+    def vcdf_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "vcdf.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = vcdf_cli(*_GENERATE, "--out", tmp_path / "data")
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    done = vcdf_cli("evaluate", tmp_path / "a.json", tmp_path / "b.json")
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: graph file not found")
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a regular file\n")
+    done = vcdf_cli(*_GENERATE, "--out", blocked)
+    assert done.returncode == 3
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and "File exists" in line
 
 
 # ---------------------------------------------------------------------------
