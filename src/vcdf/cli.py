@@ -23,6 +23,7 @@ from .consensus import VcdfConfig, run_vcdf, stability_report_to_json
 from .discovery import DISCOVERERS, DiscovererConfig, make_discoverer
 from .evaluation import F1Result, aggregate, summary_f1, window_f1
 from .series import (
+    Edge,
     WindowGraph,
     read_graph_json,
     read_series_csv,
@@ -147,8 +148,6 @@ def cmd_generate(args) -> int:
     config = _load_config_file(args.config, GENERATE_KEYS) if args.config else {}
     params = {key: _resolve(kind, getattr(args, key), config, key, default)
               for key, (kind, default, _) in GENERATE_KEYS.items()}
-    if params["setting"] not in SETTINGS:
-        raise ValueError(f"unknown setting {params['setting']!r}, expected one of {', '.join(SETTINGS)}")
     out_dir = Path(params.pop("out"))
     task = f"generate:{params['setting']}"
     suite_seed = derive_seed(params["seed"], task)
@@ -180,6 +179,9 @@ def cmd_discover(args) -> int:
     base = make_discoverer(method, disc_config)
     vcdf_sub = _vcdf_section(config)
     use_vcdf = args.vcdf or vcdf_sub is not None
+    stray = [f"--{f.name.replace('_', '-')}" for f in fields(VcdfConfig) if getattr(args, f.name) is not None]
+    if stray and not use_vcdf:
+        raise ValueError(f"the filter is off, so {', '.join(stray)} would be ignored; add --vcdf to turn it on")
     vcdf_config = _section(VcdfConfig, args, vcdf_sub or {}, "vcdf") if use_vcdf else None
     out = _resolve(str, args.out, config, "out", None)
 
@@ -268,39 +270,29 @@ def cmd_evaluate(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _bench_grid(preset: str, setting_override: str | None) -> list[tuple[str, int, str]]:
-    """(setting, T, base) cells; datasets are shared between a cell's two methods."""
-    p = BENCH_PRESETS[preset]
-    settings = (setting_override,) if setting_override else p.settings
-    return [(s, T, b) for s in settings for T in p.lengths for b in p.bases]
+def _bench_pair(suite, base, vcdf_config: VcdfConfig) -> tuple[dict, dict]:
+    """The window and summary F1 aggregates and mean seconds of the ``<m>`` and ``vcdf-<m>`` rows.
 
-
-class _FullRun:
-    """A base that runs ``base`` and keeps the graph and seconds of its call on ``series`` itself.
-
-    ``run_vcdf`` fits the series it is given first, so a ``vcdf-<m>`` cell's full run is
-    also the run of its ``<m>`` cell on the same dataset.
+    One ``run_vcdf`` per dataset: its report's r0 edges are the base method's graph on the
+    dataset's series and its ``full_fit_seconds`` that fit's time, so each base runs k+1 times.
     """
-
-    def __init__(self, base, series) -> None:
-        self.base, self.series = base, series
-        self.graph, self.seconds = None, None
-
-    def discover(self, series):
-        if series is not self.series:
-            return self.base.discover(series)
+    base_graphs, base_seconds, vcdf_graphs, vcdf_seconds = [], [], [], []
+    for ds in suite:
         started = time.perf_counter()
-        self.graph = self.base.discover(series)
-        self.seconds = time.perf_counter() - started
-        return self.graph
+        graph, report = _estimate(ds.series, base, vcdf_config)
+        vcdf_seconds.append(time.perf_counter() - started)
+        vcdf_graphs.append(graph)
+        base_graphs.append(WindowGraph(graph.n, graph.max_lag,
+                                       frozenset(Edge(e.cause, e.effect, e.lag, e.r0) for e in report.edges)))
+        base_seconds.append(report.full_fit_seconds)
+    return _bench_scores(suite, base_graphs, base_seconds), _bench_scores(suite, vcdf_graphs, vcdf_seconds)
 
 
-def _bench_row(setting: str, T: int, method: str, suite_seed: int, suite, graphs, seconds) -> dict:
+def _bench_scores(suite, graphs, seconds) -> dict:
     return {
-        "setting": setting, "T": T, "method": method,
         "window": asdict(aggregate([window_f1(g, ds.truth) for g, ds in zip(graphs, suite)])),
         "summary": asdict(aggregate([summary_f1(g, ds.truth) for g, ds in zip(graphs, suite)])),
-        "seconds_mean": sum(seconds) / len(seconds), "suite_seed": suite_seed,
+        "seconds_mean": sum(seconds) / len(seconds),
     }
 
 
@@ -309,29 +301,22 @@ def cmd_bench(args) -> int:
     if n != PAPER_SCALE_N:
         print(f"warning: running with n={n} instead of the reference scale n={PAPER_SCALE_N}; "
               f"absolute levels will not be comparable", file=sys.stderr)
-    realizations = args.realizations if args.realizations is not None else BENCH_PRESETS[args.preset].realizations
+    preset = BENCH_PRESETS[args.preset]
+    realizations = args.realizations if args.realizations is not None else preset.realizations
     disc_config = _section(DiscovererConfig, args, {}, "discoverer")
     vcdf_config = _section(VcdfConfig, args, {}, "vcdf")
 
-    grid = _bench_grid(args.preset, args.setting)
-    # Every cell's datasets are drawn before any fit, so an out-of-range value fails first.
-    seeds = {(setting, T): derive_seed(args.seed, f"bench:{args.preset}:{setting}:T={T}") for setting, T, _ in grid}
-    suites = {(setting, T): benchmark_suite(setting, n, T, realizations, seed) for (setting, T), seed in seeds.items()}
-    # The <m> row takes the vcdf-<m> cell's full runs, so each base runs k+1 times per dataset.
+    # A (setting, T) cell's datasets are shared by its methods, and every cell's are
+    # drawn before any fit, so an out-of-range value fails first.
+    settings = (args.setting,) if args.setting else preset.settings
+    seeds = {(s, T): derive_seed(args.seed, f"bench:{args.preset}:{s}:T={T}") for s in settings for T in preset.lengths}
+    suites = {cell: benchmark_suite(cell[0], n, cell[1], realizations, seed) for cell, seed in seeds.items()}
     rows = []
-    for setting, T, base_id in grid:
-        suite_seed, suite = seeds[setting, T], suites[setting, T]
-        base = make_discoverer(base_id, disc_config)
-        graphs, seconds, full_runs = [], [], []
-        for ds in suite:
-            full_runs.append(_FullRun(base, ds.series))
-            t0 = time.perf_counter()
-            graph, _ = _estimate(ds.series, full_runs[-1], vcdf_config)
-            seconds.append(time.perf_counter() - t0)
-            graphs.append(graph)
-        rows.append(_bench_row(setting, T, base_id, suite_seed, suite,
-                               [run.graph for run in full_runs], [run.seconds for run in full_runs]))
-        rows.append(_bench_row(setting, T, f"vcdf-{base_id}", suite_seed, suite, graphs, seconds))
+    for (setting, T), suite in suites.items():
+        for base_id in preset.bases:
+            pair = _bench_pair(suite, make_discoverer(base_id, disc_config), vcdf_config)
+            rows += [{"setting": setting, "T": T, "method": method, **scores, "suite_seed": seeds[setting, T]}
+                     for method, scores in zip((base_id, f"vcdf-{base_id}"), pair)]
 
     report = {
         "preset": args.preset, "n": n, "realizations": realizations, "seed": args.seed,

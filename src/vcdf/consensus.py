@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import time
+from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -136,8 +137,15 @@ class EdgeStability:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The config and per-edge records of one ``run_vcdf``.
+
+    ``full_fit_seconds`` is the wall time of the base method's call on the full
+    series; it is neither serialized (a report read back has None) nor compared.
+    """
+
     config: VcdfConfig
     edges: tuple[EdgeStability, ...]
+    full_fit_seconds: float | None = field(default=None, compare=False)
 
 
 def run_vcdf(
@@ -150,7 +158,9 @@ def run_vcdf(
     makes disappearance across folds the strongest removal signal.
     """
     plan = make_fold_plan(series.n_steps, config.k)
+    started = time.perf_counter()
     full_graph = base.discover(series)
+    full_fit_seconds = time.perf_counter() - started
     fold_weights = []
     for fold in range(config.k):
         training = extract_training(series, plan, fold)
@@ -171,7 +181,7 @@ def run_vcdf(
             if weight != 0.0:
                 kept_edges.append(Edge(edge.cause, edge.effect, edge.lag, weight))
     filtered = WindowGraph(full_graph.n, full_graph.max_lag, frozenset(kept_edges))
-    return filtered, StabilityReport(config, tuple(records))
+    return filtered, StabilityReport(config, tuple(records), full_fit_seconds)
 
 
 def stability_report_to_json(report: StabilityReport) -> str:

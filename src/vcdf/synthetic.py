@@ -155,7 +155,7 @@ def random_scm(
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
     if setting not in SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}, expected one of {SETTINGS}")
+        raise ValueError(f"unknown setting {setting!r}, expected one of {', '.join(SETTINGS)}")
 
     n_lagged = round(density * n * (n - 1))
     if n_lagged == 0:

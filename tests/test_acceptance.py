@@ -14,7 +14,6 @@ from vcdf import (
     ScmSpec,
     VcdfConfig,
     WindowGraph,
-    aggregate,
     benchmark_suite,
     directional_consistency,
     direct_lingam_order,
@@ -34,6 +33,7 @@ from vcdf import (
     window_f1,
     write_series_csv,
 )
+from vcdf.cli import _bench_pair
 from vcdf.synthetic import SETTINGS
 
 
@@ -43,18 +43,10 @@ def _verdict(num, label, ok, detail):
     assert ok, line
 
 
-def _suite_scores(setting, T, method_id, wrapped, seed, realizations, n=15):
-    suite = benchmark_suite(setting, n, T, realizations, seed)
-    base = make_discoverer(method_id)
-    win, summ = [], []
-    for ds in suite:
-        if wrapped:
-            graph, _ = run_vcdf(ds.series, base, VcdfConfig())
-        else:
-            graph = base.discover(ds.series)
-        win.append(window_f1(graph, ds.truth))
-        summ.append(summary_f1(graph, ds.truth))
-    return aggregate(win).f1_mean, aggregate(summ).f1_mean
+def _bench_deltas(setting, T, method_id):
+    """vcdf-<m> minus <m> mean window and summary F1 of a bench cell: n=15, 10 realizations, seed 0."""
+    base, wrapped = _bench_pair(benchmark_suite(setting, 15, T, 10, 0), make_discoverer(method_id), VcdfConfig())
+    return tuple(wrapped[part]["f1_mean"] - base[part]["f1_mean"] for part in ("window", "summary"))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +173,7 @@ def test_criterion_3_base_recovery_oracles():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_linear_improvement():
-    base_w, base_s = _suite_scores("linear", 1000, "varlingam", False, 0, 10)
-    vcdf_w, vcdf_s = _suite_scores("linear", 1000, "varlingam", True, 0, 10)
-    d_window = vcdf_w - base_w
-    d_summary = vcdf_s - base_s
+    d_window, d_summary = _bench_deltas("linear", 1000, "varlingam")
     ok = d_window >= 0.03 and d_summary >= 0.03
     _verdict(4, "stability filtering lifts varlingam on linear/T=1000",
              ok, f"window {d_window:+.3f}, summary {d_summary:+.3f}, floor +0.03")
@@ -195,11 +184,7 @@ def test_criterion_4_linear_improvement():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_length_trend():
-    deltas = {}
-    for T in (250, 2000):
-        base_w, base_s = _suite_scores("trended", T, "lagreg", False, 0, 10)
-        vcdf_w, vcdf_s = _suite_scores("trended", T, "lagreg", True, 0, 10)
-        deltas[T] = vcdf_s - base_s
+    deltas = {T: _bench_deltas("trended", T, "lagreg")[1] for T in (250, 2000)}
     rise = deltas[2000] - deltas[250]
     ok = rise >= 0.03
     _verdict(5, "summary-F1 delta grows from T=250 to T=2000",

@@ -5,14 +5,26 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vcdf
-from vcdf import DiscovererConfig, MultivariateSeries, VcdfConfig, read_graph_json, read_series_csv, write_series_csv
+from vcdf import (
+    DiscovererConfig,
+    MultivariateSeries,
+    VcdfConfig,
+    aggregate,
+    benchmark_suite,
+    make_discoverer,
+    read_graph_json,
+    read_series_csv,
+    summary_f1,
+    window_f1,
+    write_series_csv,
+)
 from vcdf import cli
 from vcdf.cli import derive_seed, main, render_bench_table
 
@@ -67,6 +79,13 @@ def test_generate_rejects_unknown_setting(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run("generate", "--setting", "cubic", "--out", tmp_path / "x")
     assert info.value.code == 2
+    assert not (tmp_path / "x").exists()
+    # argparse's choices do not reach a config file's setting.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"setting": "cubic"}))
+    assert run("generate", "--config", config, "--out", tmp_path / "x") == 2
+    assert ("unknown setting 'cubic', expected one of linear, nonlinear, non_gaussian, trended"
+            in capsys.readouterr().err)
     assert not (tmp_path / "x").exists()
 
 
@@ -242,6 +261,22 @@ def test_discover_config_vcdf_key_switches_the_filter(value, k, dataset_dir, tmp
     meta = json.loads((out / "series_000.meta.json").read_text())
     assert (out / "series_000.stability.json").exists() == (k is not None)
     assert (meta["vcdf"] and meta["vcdf"]["k"]) == k
+
+
+@pytest.mark.parametrize("flags, config_doc, named", [
+    (["--k", "3"], None, "--k"),
+    (["--tau-c", "0.9", "--w", "0.5"], {"vcdf": False}, "--tau-c, --w"),
+], ids=["flag", "flags-with-vcdf-false"])
+def test_discover_filter_flags_with_the_filter_off_exit_2_before_reading_the_series(
+        flags, config_doc, named, tmp_path, capsys):
+    argv = ["discover", tmp_path / "absent.csv", *flags, "--out", tmp_path / "o"]
+    if config_doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config_doc))
+        argv += ["--config", tmp_path / "config.json"]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the filter is off, so {named} would be ignored; add --vcdf to turn it on"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value", [("vcdf", 1), ("out", 5)])
@@ -503,6 +538,13 @@ def test_bench_shares_datasets_within_a_cell(tmp_path):
         by_T.setdefault(row["T"], set()).add(row["suite_seed"])
     for T, seeds in by_T.items():
         assert len(seeds) == 1  # both methods saw the same suite
+    # The varlingam row, read off each wrapped run's report, is varlingam's own run on that suite.
+    base = make_discoverer("varlingam")
+    for row in report["rows"][0::2]:
+        suite = benchmark_suite("linear", 5, row["T"], 1, row["suite_seed"])
+        graphs = [base.discover(ds.series) for ds in suite]
+        assert row["window"] == asdict(aggregate([window_f1(g, ds.truth) for g, ds in zip(graphs, suite)]))
+        assert row["summary"] == asdict(aggregate([summary_f1(g, ds.truth) for g, ds in zip(graphs, suite)]))
 
 
 def test_bench_fit_failure_exits_3_without_a_report(tmp_path, capsys):

@@ -364,8 +364,8 @@ def test_fold_count_is_checked_before_any_base_fit():
 
 
 def test_run_vcdf_fits_the_series_itself_first_then_each_fold_in_order():
-    # vcdf bench reuses the first call's graph and time as the bare base run,
-    # and perfbench reads the first fit under run_vcdf as the full fit.
+    # The report's r0 edges and full_fit_seconds come from the first call, which vcdf
+    # bench reads as the bare base run; perfbench takes the first fit under run_vcdf as the full fit.
     class RecordingStub(CorrelationStub):
         def __init__(self):
             super().__init__()
@@ -404,8 +404,10 @@ def test_fold_failures_carry_the_fold_index():
 def test_report_round_trip_is_exact():
     series = _series(5)
     _, report = run_vcdf(series, CorrelationStub(), VcdfConfig())
+    assert report.full_fit_seconds > 0
     text = stability_report_to_json(report)
     back = stability_report_from_json(text)
+    assert back.full_fit_seconds is None  # a timing, not part of the report's bytes
     assert back == report
     assert stability_report_to_json(back) == text
 
