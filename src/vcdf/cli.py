@@ -297,9 +297,8 @@ def _bench_scores(suite, graphs, seconds) -> dict:
 
 
 def cmd_bench(args) -> int:
-    n = args.n if args.n is not None else PAPER_SCALE_N
-    if n != PAPER_SCALE_N:
-        print(f"warning: running with n={n} instead of the reference scale n={PAPER_SCALE_N}; "
+    if args.n != PAPER_SCALE_N:
+        print(f"warning: running with n={args.n} instead of the reference scale n={PAPER_SCALE_N}; "
               f"absolute levels will not be comparable", file=sys.stderr)
     preset = BENCH_PRESETS[args.preset]
     realizations = args.realizations if args.realizations is not None else preset.realizations
@@ -310,7 +309,7 @@ def cmd_bench(args) -> int:
     # drawn before any fit, so an out-of-range value fails first.
     settings = (args.setting,) if args.setting else preset.settings
     seeds = {(s, T): derive_seed(args.seed, f"bench:{args.preset}:{s}:T={T}") for s in settings for T in preset.lengths}
-    suites = {cell: benchmark_suite(cell[0], n, cell[1], realizations, seed) for cell, seed in seeds.items()}
+    suites = {cell: benchmark_suite(cell[0], args.n, cell[1], realizations, seed) for cell, seed in seeds.items()}
     rows = []
     for (setting, T), suite in suites.items():
         for base_id in preset.bases:
@@ -319,7 +318,7 @@ def cmd_bench(args) -> int:
                      for method, scores in zip((base_id, f"vcdf-{base_id}"), pair)]
 
     report = {
-        "preset": args.preset, "n": n, "realizations": realizations, "seed": args.seed,
+        "preset": args.preset, "n": args.n, "realizations": realizations, "seed": args.seed,
         "discoverer": asdict(disc_config), "vcdf": asdict(vcdf_config),
         "rows": rows,
     }
@@ -435,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("preset", choices=BENCH_PRESETS)
     ben.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     ben.add_argument("--out", help="directory for report.json and table.txt")
-    ben.add_argument("--n", type=int, help="variables per system (warns when not 15)")
+    ben.add_argument("--n", type=int, default=PAPER_SCALE_N,
+                     help=f"variables per system (default {PAPER_SCALE_N}; warns otherwise)")
     ben.add_argument("--realizations", type=int, help="datasets per cell (default: " + ", ".join(
         f"{name} {p.realizations}" for name, p in BENCH_PRESETS.items()) + ")")
     ben.add_argument("--setting", choices=SETTINGS, help="override the preset's setting")

@@ -86,6 +86,15 @@ class Edge(NamedTuple):
         return (self.cause, self.effect, self.lag)
 
 
+def require_edge(edge) -> Edge:
+    """``edge`` as an Edge of three integers and a number (see ``require_kind``); ValueError naming it if not."""
+    try:
+        cause, effect, lag, weight = edge
+        return Edge(_as_kind(cause, int), _as_kind(effect, int), _as_kind(lag, int), _as_kind(weight, float))
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r}: cause, effect and lag must be integers and weight a number") from None
+
+
 @dataclass(frozen=True, eq=False)
 class MultivariateSeries:
     """A T x n observation matrix with one named column per variable.
@@ -144,11 +153,13 @@ class WindowGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", require_kind("graph n", self.n, int))
+        object.__setattr__(self, "max_lag", require_kind("graph max_lag", self.max_lag, int))
         if self.n < 1:
             raise ValueError(f"graph needs n >= 1, got {self.n}")
         if self.max_lag < 0:
             raise ValueError(f"max_lag must be >= 0, got {self.max_lag}")
-        edges = frozenset(Edge(int(c), int(e), int(l), float(w)) for c, e, l, w in self.edges)
+        edges = frozenset(map(require_edge, self.edges))
         seen: set[tuple[int, int, int]] = set()
         for edge in edges:
             if not (0 <= edge.cause < self.n and 0 <= edge.effect < self.n):

@@ -2,16 +2,17 @@
 
 Systems are linear (optionally tanh-squashed) structural VAR processes with a
 sparse acyclic instantaneous layer, driven by unit-variance noise.  Four named
-benchmark settings select the noise law, link function and drift:
+benchmark settings select the noise law, link function and drift
+(``_SETTING_TABLE``):
 
-========  =========  ============  =====================
-setting   noise      link          per-step drift
-========  =========  ============  =====================
-linear    uniform    identity      0
-nonlinear uniform    tanh          0
-non_gaussian laplace identity      0
-trended   uniform    identity      drawn from +-[0.001, 0.01]
-========  =========  ============  =====================
+============  =======  ========  ==========================
+setting       noise    link      per-step drift
+============  =======  ========  ==========================
+linear        uniform  identity  0
+nonlinear     uniform  tanh      0
+non_gaussian  laplace  identity  0
+trended       uniform  identity  drawn from +-[0.001, 0.01]
+============  =======  ========  ==========================
 """
 
 from __future__ import annotations
@@ -21,10 +22,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Edge, MultivariateSeries, WindowGraph, instantaneous_order
+from .series import Edge, MultivariateSeries, WindowGraph, instantaneous_order, require_edge
 
-SETTINGS = ("linear", "nonlinear", "non_gaussian", "trended")
-NOISES = ("gaussian", "uniform", "laplace")
+# Each benchmark setting's noise law, link function, and whether it drifts.
+_SETTING_TABLE = {
+    "linear": ("uniform", "identity", False),
+    "nonlinear": ("uniform", "tanh", False),
+    "non_gaussian": ("laplace", "identity", False),
+    "trended": ("uniform", "identity", True),
+}
+# Each noise law's sampler, all of unit variance, so settings differ only in shape and tails.
+_NOISE_SAMPLERS = {
+    "gaussian": lambda rng, shape: rng.standard_normal(shape),
+    "uniform": lambda rng, shape: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), shape),
+    "laplace": lambda rng, shape: rng.laplace(0.0, 1.0 / math.sqrt(2.0), shape),
+}
+SETTINGS = tuple(_SETTING_TABLE)
+NOISES = tuple(_NOISE_SAMPLERS)
 LINKS = ("identity", "tanh")
 
 COEFF_MIN = 0.1
@@ -55,8 +69,6 @@ class ScmSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need n >= 1 variables, got {self.n}")
         if self.max_lag < 1:
             raise ValueError(f"need max_lag >= 1, got {self.max_lag}")
         if self.noise not in NOISES:
@@ -65,8 +77,8 @@ class ScmSpec:
             raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
         if not np.isfinite(self.trend_slope):
             raise ValueError("trend_slope must be finite")
-        lag_edges = tuple(Edge(int(c), int(e), int(l), float(w)) for c, e, l, w in self.lag_edges)
-        inst_edges = tuple(Edge(int(c), int(e), int(l), float(w)) for c, e, l, w in self.inst_edges)
+        lag_edges = tuple(map(require_edge, self.lag_edges))
+        inst_edges = tuple(map(require_edge, self.inst_edges))
         for edge in lag_edges:
             if not 1 <= edge.lag <= self.max_lag:
                 raise ValueError(f"lagged edge {edge} must have lag in 1..{self.max_lag}")
@@ -78,10 +90,9 @@ class ScmSpec:
                 raise ValueError(
                     f"edge {edge}: coefficient magnitude must lie in [{COEFF_MIN}, {COEFF_MAX}]"
                 )
-        # Delegates range/duplicate/acyclicity checks; also doubles as the truth graph.
-        WindowGraph(self.n, self.max_lag, frozenset(lag_edges + inst_edges))
         object.__setattr__(self, "lag_edges", tuple(sorted(lag_edges, key=lambda e: e.key)))
         object.__setattr__(self, "inst_edges", tuple(sorted(inst_edges, key=lambda e: e.key)))
+        self.truth_graph()  # checks n, variable ranges, duplicates and acyclicity
         radius = companion_spectral_radius(self)
         if radius >= 1.0:
             raise ValueError(f"unstable system: companion spectral radius {radius:.3f} >= 1")
@@ -104,28 +115,17 @@ class LabeledDataset:
             )
 
 
-def lag_matrices(spec: ScmSpec) -> np.ndarray:
-    """(max_lag, n, n) array A with A[l-1][effect, cause] = coefficient at lag l."""
-    A = np.zeros((spec.max_lag, spec.n, spec.n))
-    for edge in spec.lag_edges:
-        A[edge.lag - 1, edge.effect, edge.cause] = edge.weight
-    return A
-
-def inst_matrix(spec: ScmSpec) -> np.ndarray:
-    B = np.zeros((spec.n, spec.n))
-    for edge in spec.inst_edges:
-        B[edge.effect, edge.cause] = edge.weight
-    return B
-
-
 def companion_spectral_radius(spec: ScmSpec) -> float:
     """Spectral radius of the companion form of the instantaneous-resolved system."""
     n, p = spec.n, spec.max_lag
-    reduced = np.linalg.solve(np.eye(n) - inst_matrix(spec), lag_matrices(spec).transpose(1, 0, 2).reshape(n, p * n))
-    companion = np.zeros((n * p, n * p))
-    companion[:n, :] = reduced
-    if p > 1:
-        companion[n:, : n * (p - 1)] = np.eye(n * (p - 1))
+    lagged = np.zeros((n, n * p))  # [effect, (lag - 1) * n + cause]
+    for edge in spec.lag_edges:
+        lagged[edge.effect, (edge.lag - 1) * n + edge.cause] = edge.weight
+    resolve = np.eye(n)  # I - B, B[effect, cause] = instantaneous coefficient
+    for edge in spec.inst_edges:
+        resolve[edge.effect, edge.cause] = -edge.weight
+    companion = np.eye(n * p, k=-n)
+    companion[:n] = np.linalg.solve(resolve, lagged)
     return float(np.abs(np.linalg.eigvals(companion)).max())
 
 
@@ -164,7 +164,7 @@ def random_scm(
 
     cross_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     upper_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    noise, link = _NOISE_AND_LINK[setting]
+    noise, link, drifts = _SETTING_TABLE[setting]
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STRUCTURE_STREAM]))
     for _ in range(_MAX_DRAWS):
@@ -184,22 +184,12 @@ def random_scm(
                 inst_edges.append(Edge(cause, effect, 0, _draw_coefficient(rng)))
 
         trend_slope = 0.0
-        if setting == "trended":
+        if drifts:
             sign = 1.0 if rng.random() < 0.5 else -1.0
             trend_slope = sign * rng.uniform(0.001, 0.01)
 
-        candidate = dict(
-            n=n,
-            max_lag=max_lag,
-            lag_edges=tuple(lag_edges),
-            inst_edges=tuple(inst_edges),
-            noise=noise,
-            link=link,
-            trend_slope=trend_slope,
-            seed=seed,
-        )
         try:
-            return ScmSpec(**candidate)
+            return ScmSpec(n, max_lag, tuple(lag_edges), tuple(inst_edges), noise, link, trend_slope, seed)
         except ValueError as exc:
             if "spectral radius" not in str(exc):
                 raise
@@ -207,26 +197,6 @@ def random_scm(
         f"no stationary system found in {_MAX_DRAWS} draws "
         f"(n={n}, max_lag={max_lag}, density={density}); lower the density"
     )
-
-
-_NOISE_AND_LINK = {
-    "linear": ("uniform", "identity"),
-    "nonlinear": ("uniform", "tanh"),
-    "non_gaussian": ("laplace", "identity"),
-    "trended": ("uniform", "identity"),
-}
-
-
-def _draw_noise(rng: np.random.Generator, law: str, shape: tuple[int, int]) -> np.ndarray:
-    # Unit variance under every law, so settings differ only in shape/tails.
-    if law == "gaussian":
-        return rng.standard_normal(shape)
-    if law == "uniform":
-        half = math.sqrt(3.0)
-        return rng.uniform(-half, half, shape)
-    if law == "laplace":
-        return rng.laplace(0.0, 1.0 / math.sqrt(2.0), shape)
-    raise ValueError(f"unknown noise law {law!r}")
 
 
 def _compile_run(spec: ScmSpec):
@@ -296,7 +266,7 @@ def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDa
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
     total = burn_in + T
-    noise = _draw_noise(rng, spec.noise, (total, spec.n))
+    noise = _NOISE_SAMPLERS[spec.noise](rng, (total, spec.n))
     x = np.empty((total, spec.n))
     _compile_run(spec)(x, noise, spec.trend_slope)
     out = x[burn_in:]

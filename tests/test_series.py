@@ -135,11 +135,27 @@ def test_window_graph_sorted_edges_and_weight_map():
         (2, 1, {Edge(0, 1, 1, float("nan"))}, "finite"),
         (0, 1, set(), "n >= 1"),
         (2, -1, set(), "max_lag"),
+        (3, 2, {Edge(0, 1.9, 1, 0.5)}, "must be integers"),
+        (3, 2, {Edge(0, 1, 1.7, 0.5)}, "must be integers"),
+        (3, 2, {Edge(0, 1, 1, "0.5")}, "weight a number"),
+        (3, 2, {Edge(True, 1, 1, 0.5)}, "must be integers"),
+        (3, 2, {Edge(0, 1, 1, True)}, "weight a number"),
+        (3, 2, {(0, 1, 1)}, "must be integers"),
+        (3, 1.5, set(), "max_lag must be an integer, got 1.5"),
+        (2.5, 1, set(), "n must be an integer, got 2.5"),
     ],
 )
 def test_window_graph_rejects_bad_edges(n, max_lag, edges, fragment):
     with pytest.raises(ValueError, match=fragment):
         WindowGraph(n=n, max_lag=max_lag, edges=frozenset(edges))
+
+
+def test_window_graph_takes_numpy_scalars_as_python_ones():
+    g = WindowGraph(n=np.int64(3), max_lag=np.int32(2),
+                    edges=frozenset({Edge(np.int64(0), np.intp(1), np.int64(2), np.float64(0.5))}))
+    assert g == WindowGraph(n=3, max_lag=2, edges=frozenset({Edge(0, 1, 2, 0.5)}))
+    assert [type(v) for v in (g.n, g.max_lag, *g.sorted_edges()[0])] == [int, int, int, int, int, float]
+    assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_window_graph_rejects_instantaneous_cycles():

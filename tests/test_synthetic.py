@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vcdf import Edge, ScmSpec, benchmark_suite, companion_spectral_radius, random_scm, simulate
 from vcdf.series import instantaneous_order
-from vcdf.synthetic import _NOISE_STREAM, DEFAULT_BURN_IN, SETTINGS, _draw_noise, inst_matrix, lag_matrices
+from vcdf.synthetic import _NOISE_SAMPLERS, _NOISE_STREAM, DEFAULT_BURN_IN, SETTINGS
 
 
 def _chain_spec(weight=0.8, **kwargs):
@@ -38,21 +38,54 @@ def test_spec_rejects_lag0_edges_in_the_lagged_slot():
         ScmSpec(n=2, max_lag=1, lag_edges=(Edge(0, 1, 0, 0.5),), inst_edges=())
 
 
+def test_spec_rejects_edges_of_the_wrong_kind():
+    with pytest.raises(ValueError, match=r"edge Edge\(cause=0, effect=1, lag=1, weight='0.5'\)"):
+        _chain_spec(weight="0.5")
+    with pytest.raises(ValueError, match="must be integers"):
+        ScmSpec(n=2, max_lag=1, lag_edges=(), inst_edges=(Edge(0, True, 0, 0.5),))
+
+
 def test_spec_rejects_unstable_dynamics():
     with pytest.raises(ValueError, match="spectral radius"):
         ScmSpec(n=2, max_lag=3, inst_edges=(), lag_edges=(
             Edge(0, 0, 1, 0.9), Edge(0, 0, 2, 0.9), Edge(0, 0, 3, 0.9)))
 
 
+def reference_spectral_radius(spec: ScmSpec) -> float:
+    """The companion radius built from per-lag matrices: the oracle for the block filled from the edges.
+
+    A[l-1][effect, cause] is the coefficient at lag l and B[effect, cause] the
+    instantaneous one; the companion's top block row is (I - B)^-1 [A_1 ... A_p].
+    """
+    n, p = spec.n, spec.max_lag
+    A = np.zeros((p, n, n))
+    for edge in spec.lag_edges:
+        A[edge.lag - 1, edge.effect, edge.cause] = edge.weight
+    B = np.zeros((n, n))
+    for edge in spec.inst_edges:
+        B[edge.effect, edge.cause] = edge.weight
+    reduced = np.linalg.solve(np.eye(n) - B, A.transpose(1, 0, 2).reshape(n, p * n))
+    companion = np.zeros((n * p, n * p))
+    companion[:n, :] = reduced
+    if p > 1:
+        companion[n:, : n * (p - 1)] = np.eye(n * (p - 1))
+    return float(np.abs(np.linalg.eigvals(companion)).max())
+
+
 def test_matrices_follow_the_edge_list():
     spec = ScmSpec(n=3, max_lag=2, inst_edges=(Edge(0, 2, 0, 0.3),),
                    lag_edges=(Edge(0, 1, 1, 0.5), Edge(2, 1, 2, -0.4)))
-    lags = lag_matrices(spec)
-    assert lags.shape == (2, 3, 3)
-    assert lags[0][1, 0] == 0.5          # effect row, cause column, lag 1
-    assert lags[1][1, 2] == -0.4
-    assert inst_matrix(spec)[2, 0] == 0.3
+    assert companion_spectral_radius(spec) == reference_spectral_radius(spec)
     assert companion_spectral_radius(spec) < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("max_lag", [1, 2, 3])
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_spectral_radius_matches_the_per_lag_matrices(setting, max_lag, seed):
+    spec = random_scm(6, max_lag, 0.3, setting, seed)
+    assert spec.lag_edges and spec.inst_edges
+    assert companion_spectral_radius(spec) == reference_spectral_radius(spec)
 
 
 def test_truth_graph_collects_both_layers():
@@ -138,7 +171,7 @@ def reference_simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) ->
     """
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
     total = burn_in + T
-    noise = _draw_noise(rng, spec.noise, (total, spec.n))
+    noise = _NOISE_SAMPLERS[spec.noise](rng, (total, spec.n))
     lag_parents, inst_parents = {}, {}
     for edge in spec.lag_edges:
         lag_parents.setdefault(edge.effect, []).append((edge.cause, edge.lag, edge.weight))
@@ -191,7 +224,7 @@ def test_simulate_compiles_a_variable_with_597_parents():
     edges = [Edge(cause, 0, lag, float(w))
              for (cause, lag), w in zip([(c, l) for c in range(1, 200) for l in (1, 2, 3)], weights)]
     spec = ScmSpec(n=200, max_lag=3, lag_edges=tuple(edges), inst_edges=(), trend_slope=-0.005, seed=4)
-    assert companion_spectral_radius(spec) == 0.0
+    assert companion_spectral_radius(spec) == reference_spectral_radius(spec) == 0.0
     for burn_in in (0, 5):
         values = simulate(spec, 30, burn_in).series.values
         assert values.tobytes() == reference_simulate(spec, 30, burn_in).tobytes()
