@@ -16,15 +16,16 @@ import json
 import sys
 import time
 from collections import namedtuple
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
-from .consensus import VcdfConfig, run_vcdf, stability_report_to_json
+from .consensus import VcdfConfig, make_fold_plan, run_vcdf, stability_report_to_json
 from .discovery import DISCOVERERS, DiscovererConfig, make_discoverer
 from .evaluation import F1Result, aggregate, summary_f1, window_f1
 from .series import (
     Edge,
     WindowGraph,
+    field_kinds,
     read_graph_json,
     read_series_csv,
     require_kind,
@@ -127,8 +128,9 @@ def _section(cls, args, sub, key: str):
     """A ``cls`` whose every field is its flag, else its entry in config section ``key``, else its default."""
     if not isinstance(sub, dict):
         raise ValueError(f"config key {key!r} must be an object")
-    _reject_unknown_keys(sub, [f.name for f in fields(cls)], f"config key {key!r}")
-    values = {f.name: _resolve(type(f.default), getattr(args, f.name), sub, f.name, f.default) for f in fields(cls)}
+    kinds = field_kinds(cls)
+    _reject_unknown_keys(sub, kinds, f"config key {key!r}")
+    values = {name: _resolve(kind, getattr(args, name), sub, name, getattr(cls, name)) for name, kind in kinds.items()}
     return cls(**values)
 
 
@@ -179,7 +181,7 @@ def cmd_discover(args) -> int:
     base = make_discoverer(method, disc_config)
     vcdf_sub = _vcdf_section(config)
     use_vcdf = args.vcdf or vcdf_sub is not None
-    stray = [f"--{f.name.replace('_', '-')}" for f in fields(VcdfConfig) if getattr(args, f.name) is not None]
+    stray = [f"--{name.replace('_', '-')}" for name in field_kinds(VcdfConfig) if getattr(args, name) is not None]
     if stray and not use_vcdf:
         raise ValueError(f"the filter is off, so {', '.join(stray)} would be ignored; add --vcdf to turn it on")
     vcdf_config = _section(VcdfConfig, args, vcdf_sub or {}, "vcdf") if use_vcdf else None
@@ -226,6 +228,8 @@ def _estimate(series, base, vcdf_config: VcdfConfig | None):
 
     The one computation the CLI runs, so the one place a ValueError is a failed computation.
     """
+    if vcdf_config is not None:
+        make_fold_plan(series.n_steps, vcdf_config.k)  # a fold count the series cannot hold is a usage error
     try:
         if vcdf_config is None:
             return base.discover(series), None

@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .discovery import BaseDiscoverer
-from .series import Edge, MultivariateSeries, WindowGraph, require_field_kinds, require_fields
+from .series import Edge, MultivariateSeries, WindowGraph, field_kinds, require_field_kinds, require_fields
 
 SIGN_TOLERANCE = 1e-12
 
@@ -194,21 +193,17 @@ def stability_report_to_json(report: StabilityReport) -> str:
     return json.dumps(doc)
 
 
-_CONFIG_KINDS = {f.name: type(f.default) for f in fields(VcdfConfig)}
-_EDGE_KINDS = get_type_hints(EdgeStability)
-
-
 def stability_report_from_json(text: str) -> StabilityReport:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed stability report JSON: {exc}") from None
     parts = require_fields("stability report", doc, {"config": dict, "edges": list})
-    config = VcdfConfig(**require_fields("stability report config", parts["config"], _CONFIG_KINDS))
+    config = VcdfConfig(**require_fields("stability report config", parts["config"], field_kinds(VcdfConfig)))
     edges = {}
     for idx, item in enumerate(parts["edges"]):
         where = f"stability report edge {idx}"
-        edge = EdgeStability(**require_fields(where, item, _EDGE_KINDS))
+        edge = EdgeStability(**require_fields(where, item, field_kinds(EdgeStability)))
         key = (edge.cause, edge.effect, edge.lag)
         if min(key) < 0:
             raise ValueError(f"{where}: (cause, effect, lag) = {key} has a negative entry")

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, get_type_hints
 
@@ -67,10 +68,16 @@ def require_fields(where: str, doc, kinds: dict) -> dict:
     return values
 
 
-def require_field_kinds(config) -> None:
-    """Store each field of a frozen dataclass as its default's kind (see ``require_kind``)."""
-    for f in fields(config):
-        object.__setattr__(config, f.name, require_kind(f.name, getattr(config, f.name), type(f.default)))
+@functools.cache
+def field_kinds(cls) -> dict:
+    """Each field of record class ``cls`` whose annotation is a kind of ``require_kind``, mapped to that kind."""
+    return {name: kind for name, kind in get_type_hints(cls).items() if kind in _KIND_WORDS}
+
+
+def require_field_kinds(record) -> None:
+    """Store each field of a frozen dataclass that ``field_kinds`` names as its kind (see ``require_kind``)."""
+    for name, kind in field_kinds(type(record)).items():
+        object.__setattr__(record, name, require_kind(name, getattr(record, name), kind))
 
 
 class Edge(NamedTuple):
@@ -153,8 +160,7 @@ class WindowGraph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", require_kind("graph n", self.n, int))
-        object.__setattr__(self, "max_lag", require_kind("graph max_lag", self.max_lag, int))
+        require_field_kinds(self)
         if self.n < 1:
             raise ValueError(f"graph needs n >= 1, got {self.n}")
         if self.max_lag < 0:
@@ -311,18 +317,14 @@ def graph_to_json(graph: WindowGraph) -> str:
     return '{"n": %d, "max_lag": %d, "edges": [%s]}' % (graph.n, graph.max_lag, ", ".join(parts))
 
 
-_GRAPH_KINDS = {"n": int, "max_lag": int, "edges": list}
-_EDGE_KINDS = get_type_hints(Edge)
-
-
 def graph_from_json(text: str) -> WindowGraph:
     """Parse and validate a graph document produced by :func:`graph_to_json`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from None
-    graph = require_fields("graph JSON", doc, _GRAPH_KINDS)
-    edges = [Edge(**require_fields(f"edge {idx}", item, _EDGE_KINDS)) for idx, item in enumerate(graph["edges"])]
+    graph = require_fields("graph JSON", doc, {**field_kinds(WindowGraph), "edges": list})
+    edges = [Edge(**require_fields(f"edge {idx}", item, field_kinds(Edge))) for idx, item in enumerate(graph["edges"])]
     return WindowGraph(n=graph["n"], max_lag=graph["max_lag"], edges=frozenset(edges))
 
 

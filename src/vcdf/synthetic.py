@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import Edge, MultivariateSeries, WindowGraph, instantaneous_order, require_edge
+from .series import (Edge, MultivariateSeries, WindowGraph, instantaneous_order, require_edge, require_field_kinds,
+                     require_kind)
 
 # Each benchmark setting's noise law, link function, and whether it drifts.
 _SETTING_TABLE = {
@@ -69,6 +70,7 @@ class ScmSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_field_kinds(self)
         if self.max_lag < 1:
             raise ValueError(f"need max_lag >= 1, got {self.max_lag}")
         if self.noise not in NOISES:
@@ -148,6 +150,8 @@ def random_scm(
     layer is acyclic with half that density.  Draws whose companion spectral
     radius reaches 1 are rejected and resampled, up to 100 attempts.
     """
+    n, max_lag, seed = require_kind("n", n, int), require_kind("max_lag", max_lag, int), require_kind("seed", seed, int)
+    density, setting = require_kind("density", density, float), require_kind("setting", setting, str)
     if n < 2:
         raise ValueError(f"need n >= 2 variables to place edges, got {n}")
     if max_lag < 1:
@@ -259,6 +263,7 @@ def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDa
     skipped it.  A sum is ``-0.0`` only when both addends are, and ``acc``
     starts at ``+0.0``, so it is never ``-0.0`` and ``acc + w * 0.0 == acc``.
     """
+    T, burn_in = require_kind("T", T, int), require_kind("burn_in", burn_in, int)
     if T < 10 * spec.max_lag:
         raise ValueError(f"need T >= {10 * spec.max_lag} (10x max_lag) steps, got {T}")
     if burn_in < 0:
@@ -288,6 +293,7 @@ def benchmark_suite(
     burn_in: int = DEFAULT_BURN_IN,
 ) -> list[LabeledDataset]:
     """Independent labeled datasets for one setting; realization i uses seed + i."""
+    realizations = require_kind("realizations", realizations, int)
     if realizations < 1:
         raise ValueError(f"need realizations >= 1, got {realizations}")
     return [

@@ -373,6 +373,13 @@ def test_discover_fold_failure_names_the_fold(dataset_dir, tmp_path, capsys):
     assert "fold" in capsys.readouterr().err
 
 
+def test_discover_more_folds_than_steps_exits_2_without_outputs(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "nothing"
+    assert run("discover", dataset_dir / "series_000.csv", "--vcdf", "--k", "500", "--out", out) == 2
+    assert "cannot cut 400 steps into 500 folds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _GENERATE = ("generate", "--setting", "linear", "--n", "5", "--T", "300", "--realizations", "1")
 
 
@@ -385,6 +392,8 @@ _GENERATE = ("generate", "--setting", "linear", "--n", "5", "--T", "300", "--rea
     pytest.param(_GENERATE + ("--max-lag", "0"), "need max_lag >= 1", id="generate-max-lag"),
     pytest.param(("bench", "runtime", "--n", "1"), "need n >= 2 variables", id="bench-n"),
     pytest.param(("bench", "runtime", "--realizations", "0"), "need realizations >= 1", id="bench-realizations"),
+    pytest.param(("bench", "runtime", "--n", "5", "--realizations", "1", "--k", "300"),
+                 "cannot cut 250 steps into 300 folds", id="bench-k"),
 ])
 def test_generate_and_bench_out_of_range_value_exits_2(argv, message, tmp_path, capsys):
     out = tmp_path / "nothing"

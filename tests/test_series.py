@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from vcdf import series as series_module
 from vcdf import (
+    DiscovererConfig,
     Edge,
     MultivariateSeries,
+    ScmSpec,
+    VcdfConfig,
     WindowGraph,
     graph_from_json,
     graph_to_json,
@@ -21,6 +24,7 @@ from vcdf import (
     write_graph_json,
     write_series_csv,
 )
+from vcdf.consensus import EdgeStability
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -470,3 +474,34 @@ def test_require_kind_is_one_rule(value, kind, expected):
     else:
         got = series_module.require_kind("x", value, kind)
         assert got == expected and type(got) is type(expected)
+
+
+def test_field_kinds_reads_each_record_annotation():
+    assert {cls.__name__: series_module.field_kinds(cls) for cls in (
+        Edge, WindowGraph, DiscovererConfig, VcdfConfig, ScmSpec, EdgeStability)} == {
+        "Edge": {"cause": int, "effect": int, "lag": int, "weight": float},
+        "WindowGraph": {"n": int, "max_lag": int},
+        "DiscovererConfig": {"max_lag": int, "prune_threshold": float, "alpha": float},
+        "VcdfConfig": {"k": int, "tau_c": float, "tau_v": float, "w": float, "epsilon": float},
+        "ScmSpec": {"n": int, "max_lag": int, "noise": str, "link": str, "trend_slope": float, "seed": int},
+        "EdgeStability": {"cause": int, "effect": int, "lag": int, "r0": float, "folds": tuple[float, ...],
+                          "c": float, "v": float, "kept": bool},
+    }
+
+
+@pytest.mark.parametrize("value", [1, 1.0, 0.5, True, np.int64(1), np.uint8(1), np.float32(0.5), "1", None],
+                         ids=lambda v: f"{type(v).__name__}-{v!r}")
+def test_require_edge_takes_the_kinds_of_the_edge_annotations(value):
+    # require_edge spells its kinds out for speed; each field must still take exactly what
+    # require_kind takes for that field's annotation, as that kind.
+    for idx, (name, kind) in enumerate(series_module.field_kinds(Edge).items()):
+        fields = [0, 1, 1, 0.5]
+        fields[idx] = value
+        try:
+            expected = series_module.require_kind(name, value, kind)
+        except ValueError:
+            with pytest.raises(ValueError, match="must be integers and weight a number"):
+                series_module.require_edge(fields)
+        else:
+            got = series_module.require_edge(fields)[idx]
+            assert got == expected and type(got) is kind

@@ -1,6 +1,7 @@
 """Random system construction, stationarity, simulation statistics, determinism."""
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -43,6 +44,28 @@ def test_spec_rejects_edges_of_the_wrong_kind():
         _chain_spec(weight="0.5")
     with pytest.raises(ValueError, match="must be integers"):
         ScmSpec(n=2, max_lag=1, lag_edges=(), inst_edges=(Edge(0, True, 0, 0.5),))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_lag", "1", "max_lag must be an integer, got '1'"),
+    ("n", 2.0, "n must be an integer, got 2.0"),
+    ("trend_slope", "0.1", "trend_slope must be a number, got '0.1'"),
+    ("trend_slope", True, "trend_slope must be a number, got True"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("noise", 5, "noise must be a string, got 5"),
+])
+def test_spec_rejects_scalar_fields_of_the_wrong_kind(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScmSpec(**{"n": 2, "max_lag": 1, "lag_edges": (Edge(0, 1, 1, 0.8),), "inst_edges": (), field: value})
+
+
+def test_spec_stores_numpy_scalars_as_python_ones():
+    spec = ScmSpec(n=np.int64(2), max_lag=np.uint64(1), lag_edges=(Edge(0, 1, 1, 0.8),), inst_edges=(),
+                   trend_slope=np.float64(0.005), seed=np.uint64(3))
+    assert [type(getattr(spec, name)) for name in ("n", "max_lag", "trend_slope", "seed")] == [int, int, float, int]
+    plain = _chain_spec(trend_slope=0.005, seed=3)
+    assert spec == plain
+    assert simulate(spec, 300).series.values.tobytes() == simulate(plain, 300).series.values.tobytes()
 
 
 def test_spec_rejects_unstable_dynamics():
@@ -136,6 +159,15 @@ def test_random_scm_rejects_degenerate_requests():
         random_scm(1, 2, 0.2, "linear", 0)
     with pytest.raises(ValueError):
         random_scm(5, 2, 0.001, "linear", 0)   # density rounds to zero edges
+    for args, message in [
+        ((4.0, 2, 0.3, "linear", 0), "n must be an integer, got 4.0"),
+        ((4, 2.0, 0.3, "linear", 0), "max_lag must be an integer, got 2.0"),
+        ((4, 2, "0.3", "linear", 0), "density must be a number, got '0.3'"),
+        ((4, 2, 0.3, 5, 0), "setting must be a string, got 5"),
+        ((4, 2, 0.3, "linear", 1.5), "seed must be an integer, got 1.5"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_scm(*args)
 
 
 @settings(max_examples=20, deadline=None)
@@ -236,6 +268,10 @@ def test_simulate_rejects_short_runs_and_negative_burn_in():
         simulate(spec, 9)
     with pytest.raises(ValueError, match="burn_in"):
         simulate(spec, 100, burn_in=-1)
+    with pytest.raises(ValueError, match=r"^T must be an integer, got 300\.0$"):
+        simulate(spec, 300.0)
+    with pytest.raises(ValueError, match=r"^burn_in must be an integer, got 10\.5$"):
+        simulate(spec, 300, 10.5)
 
 
 def test_burn_in_slides_the_window():
@@ -317,3 +353,5 @@ def test_suite_is_deterministic_and_distinct():
 def test_suite_validates_realizations():
     with pytest.raises(ValueError, match="realizations"):
         benchmark_suite("linear", 5, 120, 0, 1)
+    with pytest.raises(ValueError, match="^realizations must be an integer, got True$"):
+        benchmark_suite("linear", 4, 300, True, 0)
