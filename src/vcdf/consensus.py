@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .discovery import BaseDiscoverer
-from .series import Edge, MultivariateSeries, WindowGraph, field_kinds, require_field_kinds, require_fields
+from .series import Edge, MultivariateSeries, WindowGraph, field_kinds, require_field_kinds, require_fields, require_kind
 
 SIGN_TOLERANCE = 1e-12
 
@@ -55,6 +55,7 @@ class VcdfConfig:
 
 def make_fold_plan(length: int, k: int) -> tuple[tuple[int, int], ...]:
     """Split 0..length-1 into k contiguous (start, end) blocks whose sizes differ by at most one."""
+    length, k = require_kind("length", length, int), require_kind("k", k, int)
     if k < 2:
         raise ValueError(f"need k >= 2 folds, got {k}")
     if k > length:
@@ -66,6 +67,7 @@ def extract_training(
     series: MultivariateSeries, plan: tuple[tuple[int, int], ...], fold: int
 ) -> MultivariateSeries:
     """The series with the fold's validation block removed, remaining rows in order."""
+    fold = require_kind("fold", fold, int)
     if plan[-1][1] != series.n_steps:
         raise ValueError(f"fold plan covers {plan[-1][1]} steps but series has {series.n_steps}")
     if not 0 <= fold < len(plan):

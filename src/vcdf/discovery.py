@@ -19,7 +19,7 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .series import Edge, MultivariateSeries, WindowGraph, require_field_kinds
+from .series import Edge, MultivariateSeries, WindowGraph, require_field_kinds, require_kind
 
 # Constants of the maximum-entropy approximation used by the pairwise
 # non-Gaussianity contrast (log-cosh and Gaussian-moment terms).
@@ -159,6 +159,7 @@ def _lagged_ols(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.
 
 def fit_var(series: MultivariateSeries, p: int) -> VarFit:
     """Ordinary least squares fit of a lag-p autoregression with intercept."""
+    p = require_kind("p", p, int)
     beta, residuals, R = _lagged_ols(series.values, p)
     n = series.n_vars
     coefs = np.stack([beta[1 + (lag - 1) * n : 1 + lag * n].T for lag in range(1, p + 1)])

@@ -1,9 +1,10 @@
 """Seeded generators for ground-truthed synthetic multivariate time series.
 
-Systems are linear (optionally tanh-squashed) structural VAR processes with a
-sparse acyclic instantaneous layer, driven by unit-variance noise.  Four named
-benchmark settings select the noise law, link function and drift
-(``_SETTING_TABLE``):
+Systems are linear (optionally tanh-squashed) structural VAR processes driven
+by unit-variance noise.  An ``ScmSpec`` holds one ``WindowGraph``, the truth
+its data is scored against, whose lag-0 edges are the sparse acyclic
+instantaneous layer.  Four named benchmark settings select the noise law, link
+function and drift (``_SETTING_TABLE``):
 
 ============  =======  ========  ==========================
 setting       noise    link      per-step drift
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import (Edge, MultivariateSeries, WindowGraph, instantaneous_order, require_edge, require_field_kinds,
-                     require_kind)
+from .series import Edge, MultivariateSeries, WindowGraph, instantaneous_order, require_field_kinds, require_kind
 
 # Each benchmark setting's noise law, link function, and whether it drifts.
 _SETTING_TABLE = {
@@ -57,50 +57,37 @@ _NOISE_STREAM = 1
 
 @dataclass(frozen=True)
 class ScmSpec:
-    """A fully specified structural system: edges with coefficients, noise law,
-    link function, drift slope, and the seed that drives simulation noise."""
+    """A fully specified structural system: its graph (coefficients as weights), noise
+    law, link function, drift slope, and the seed that drives simulation noise."""
 
-    n: int
-    max_lag: int
-    lag_edges: tuple[Edge, ...]
-    inst_edges: tuple[Edge, ...]
+    graph: WindowGraph
     noise: str = "uniform"
     link: str = "identity"
     trend_slope: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.graph, WindowGraph):
+            raise ValueError(f"graph must be a WindowGraph, got {self.graph!r}")
+        if self.graph.max_lag < 1:
+            raise ValueError(f"graph max_lag must be >= 1, got {self.graph.max_lag}")
         require_field_kinds(self)
-        if self.max_lag < 1:
-            raise ValueError(f"need max_lag >= 1, got {self.max_lag}")
         if self.noise not in NOISES:
             raise ValueError(f"unknown noise law {self.noise!r}, expected one of {NOISES}")
         if self.link not in LINKS:
             raise ValueError(f"unknown link {self.link!r}, expected one of {LINKS}")
         if not np.isfinite(self.trend_slope):
             raise ValueError("trend_slope must be finite")
-        lag_edges = tuple(map(require_edge, self.lag_edges))
-        inst_edges = tuple(map(require_edge, self.inst_edges))
-        for edge in lag_edges:
-            if not 1 <= edge.lag <= self.max_lag:
-                raise ValueError(f"lagged edge {edge} must have lag in 1..{self.max_lag}")
-        for edge in inst_edges:
-            if edge.lag != 0:
-                raise ValueError(f"instantaneous edge {edge} must have lag 0")
-        for edge in lag_edges + inst_edges:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for edge in self.graph.sorted_edges():  # in key order, so a bad spec always names the same edge
             if not COEFF_MIN <= abs(edge.weight) <= COEFF_MAX:
                 raise ValueError(
                     f"edge {edge}: coefficient magnitude must lie in [{COEFF_MIN}, {COEFF_MAX}]"
                 )
-        object.__setattr__(self, "lag_edges", tuple(sorted(lag_edges, key=lambda e: e.key)))
-        object.__setattr__(self, "inst_edges", tuple(sorted(inst_edges, key=lambda e: e.key)))
-        self.truth_graph()  # checks n, variable ranges, duplicates and acyclicity
-        radius = companion_spectral_radius(self)
+        radius = companion_spectral_radius(self.graph)
         if radius >= 1.0:
             raise ValueError(f"unstable system: companion spectral radius {radius:.3f} >= 1")
-
-    def truth_graph(self) -> WindowGraph:
-        return WindowGraph(self.n, self.max_lag, frozenset(self.lag_edges + self.inst_edges))
 
 
 @dataclass(frozen=True)
@@ -117,15 +104,16 @@ class LabeledDataset:
             )
 
 
-def companion_spectral_radius(spec: ScmSpec) -> float:
+def companion_spectral_radius(graph: WindowGraph) -> float:
     """Spectral radius of the companion form of the instantaneous-resolved system."""
-    n, p = spec.n, spec.max_lag
+    n, p = graph.n, graph.max_lag
     lagged = np.zeros((n, n * p))  # [effect, (lag - 1) * n + cause]
-    for edge in spec.lag_edges:
-        lagged[edge.effect, (edge.lag - 1) * n + edge.cause] = edge.weight
     resolve = np.eye(n)  # I - B, B[effect, cause] = instantaneous coefficient
-    for edge in spec.inst_edges:
-        resolve[edge.effect, edge.cause] = -edge.weight
+    for edge in graph.edges:
+        if edge.lag:
+            lagged[edge.effect, (edge.lag - 1) * n + edge.cause] = edge.weight
+        else:
+            resolve[edge.effect, edge.cause] = -edge.weight
     companion = np.eye(n * p, k=-n)
     companion[:n] = np.linalg.solve(resolve, lagged)
     return float(np.abs(np.linalg.eigvals(companion)).max())
@@ -154,6 +142,8 @@ def random_scm(
     density, setting = require_kind("density", density, float), require_kind("setting", setting, str)
     if n < 2:
         raise ValueError(f"need n >= 2 variables to place edges, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if max_lag < 1:
         raise ValueError(f"need max_lag >= 1, got {max_lag}")
     if not 0.0 < density <= 1.0:
@@ -173,30 +163,27 @@ def random_scm(
     rng = np.random.default_rng(np.random.SeedSequence([seed, _STRUCTURE_STREAM]))
     for _ in range(_MAX_DRAWS):
         slots = rng.choice(len(cross_pairs) * max_lag, size=n_lagged, replace=False)
-        lag_edges = []
+        edges = []
         for slot in sorted(int(s) for s in slots):
             cause, effect = cross_pairs[slot // max_lag]
-            lag_edges.append(Edge(cause, effect, 1 + slot % max_lag, _draw_coefficient(rng)))
+            edges.append(Edge(cause, effect, 1 + slot % max_lag, _draw_coefficient(rng)))
 
         position = {int(v): i for i, v in enumerate(rng.permutation(n))}
-        inst_edges = []
         if n_inst > 0:
             chosen = rng.choice(len(upper_pairs), size=n_inst, replace=False)
             for slot in sorted(int(s) for s in chosen):
                 a, b = upper_pairs[slot]
                 cause, effect = (a, b) if position[a] < position[b] else (b, a)
-                inst_edges.append(Edge(cause, effect, 0, _draw_coefficient(rng)))
+                edges.append(Edge(cause, effect, 0, _draw_coefficient(rng)))
 
         trend_slope = 0.0
         if drifts:
             sign = 1.0 if rng.random() < 0.5 else -1.0
             trend_slope = sign * rng.uniform(0.001, 0.01)
 
-        try:
-            return ScmSpec(n, max_lag, tuple(lag_edges), tuple(inst_edges), noise, link, trend_slope, seed)
-        except ValueError as exc:
-            if "spectral radius" not in str(exc):
-                raise
+        graph = WindowGraph(n, max_lag, frozenset(edges))
+        if companion_spectral_radius(graph) < 1.0:
+            return ScmSpec(graph, noise, link, trend_slope, seed)
     raise ValueError(
         f"no stationary system found in {_MAX_DRAWS} draws "
         f"(n={n}, max_lag={max_lag}, density={density}); lower the density"
@@ -207,33 +194,32 @@ def _compile_run(spec: ScmSpec):
     """``run(x, noise, slope)``: fills ``x`` row by row with the system's compiled step.
 
     For each variable in topological order the step reads ``acc = 0.0``, one
-    ``acc += <w> * h<lag>[<cause>]`` per lagged parent in ``lag_edges`` order,
-    one ``acc += <w> * r<cause>`` per instantaneous parent, ``tanh`` for the
-    tanh link, then ``r<j> = acc + d + e[j]``.  Only the spec's validated ints
-    and the ``repr`` of its weights enter the source, and each term is its own
-    statement, so nesting does not grow with the number of parents.
+    ``acc += <w> * h<lag>[<cause>]`` per lagged parent in ``sorted_edges`` order,
+    one ``acc += <w> * r<cause>`` per instantaneous (lag-0) parent, ``tanh`` for
+    the tanh link, then ``r<j> = acc + d + e[j]``.  Only the graph's validated
+    ints and the ``repr`` of its weights enter the source, and each term is its
+    own statement, so nesting does not grow with the number of parents.
     """
+    n, edges = spec.graph.n, spec.graph.sorted_edges()
     lag_parents: dict[int, list[Edge]] = {}
-    for edge in spec.lag_edges:
-        lag_parents.setdefault(edge.effect, []).append(edge)
     inst_parents: dict[int, list[Edge]] = {}
-    for edge in spec.inst_edges:
-        inst_parents.setdefault(edge.effect, []).append(edge)
+    for edge in edges:
+        (lag_parents if edge.lag else inst_parents).setdefault(edge.effect, []).append(edge)
     # h1 is the last row, h<max_lag> the oldest; each is a tuple of n floats and
     # starts as +0.0s, which add nothing to an acc that is never -0.0 (see simulate).
-    history = [f"h{lag}" for lag in range(spec.max_lag, 0, -1)]
+    history = [f"h{lag}" for lag in range(spec.graph.max_lag, 0, -1)]
     body = []
-    for j in instantaneous_order(spec.n, spec.inst_edges):
+    for j in instantaneous_order(n, edges):
         body.append("acc = 0.0")
         body += [f"acc += {e.weight!r} * h{e.lag}[{e.cause}]" for e in lag_parents.get(j, ())]
         body += [f"acc += {e.weight!r} * r{e.cause}" for e in inst_parents.get(j, ())]
         if spec.link == "tanh":
             body.append("acc = tanh(acc)")
         body.append(f"r{j} = acc + d + e[{j}]")
-    row = "(" + "".join(f"r{j}, " for j in range(spec.n)) + ")"
+    row = "(" + "".join(f"r{j}, " for j in range(n)) + ")"
     source = "\n".join([
         "def run(x, noise, slope):",
-        "    " + " = ".join(history) + " = (" + "0.0, " * spec.n + ")",
+        "    " + " = ".join(history) + " = (" + "0.0, " * n + ")",
         "    for t in range(len(x)):",
         "        d = slope * t",
         "        e = noise[t].tolist()",
@@ -242,7 +228,7 @@ def _compile_run(spec: ScmSpec):
         "        x[t] = h1",
     ])
     namespace = {"tanh": math.tanh}
-    exec(compile(source, f"<simulate n={spec.n}>", "exec"), namespace)
+    exec(compile(source, f"<simulate n={n}>", "exec"), namespace)
     # Popped, so the namespace (run's globals) holds no cycle back to run.
     return namespace.pop("run")
 
@@ -264,21 +250,22 @@ def simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> LabeledDa
     starts at ``+0.0``, so it is never ``-0.0`` and ``acc + w * 0.0 == acc``.
     """
     T, burn_in = require_kind("T", T, int), require_kind("burn_in", burn_in, int)
-    if T < 10 * spec.max_lag:
-        raise ValueError(f"need T >= {10 * spec.max_lag} (10x max_lag) steps, got {T}")
+    n, max_lag = spec.graph.n, spec.graph.max_lag
+    if T < 10 * max_lag:
+        raise ValueError(f"need T >= {10 * max_lag} (10x max_lag) steps, got {T}")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
     total = burn_in + T
-    noise = _NOISE_SAMPLERS[spec.noise](rng, (total, spec.n))
-    x = np.empty((total, spec.n))
+    noise = _NOISE_SAMPLERS[spec.noise](rng, (total, n))
+    x = np.empty((total, n))
     _compile_run(spec)(x, noise, spec.trend_slope)
     out = x[burn_in:]
     if not np.isfinite(out).all():
         raise ValueError("simulation overflowed to non-finite values")
-    names = tuple(f"x{i}" for i in range(spec.n))
-    return LabeledDataset(MultivariateSeries(out, names), spec.truth_graph())
+    names = tuple(f"x{i}" for i in range(n))
+    return LabeledDataset(MultivariateSeries(out, names), spec.graph)
 
 
 def benchmark_suite(
@@ -293,7 +280,7 @@ def benchmark_suite(
     burn_in: int = DEFAULT_BURN_IN,
 ) -> list[LabeledDataset]:
     """Independent labeled datasets for one setting; realization i uses seed + i."""
-    realizations = require_kind("realizations", realizations, int)
+    realizations, seed = require_kind("realizations", realizations, int), require_kind("seed", seed, int)
     if realizations < 1:
         raise ValueError(f"need realizations >= 1, got {realizations}")
     return [

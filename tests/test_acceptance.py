@@ -145,7 +145,7 @@ def test_criterion_3_base_recovery_oracles():
 
     ar_hits = 0
     for seed in range(10):
-        spec = ScmSpec(n=1, max_lag=1, lag_edges=(Edge(0, 0, 1, 0.8),), inst_edges=(), seed=seed)
+        spec = ScmSpec(WindowGraph(1, 1, frozenset({Edge(0, 0, 1, 0.8)})), seed=seed)
         fit = fit_var(simulate(spec, 5000).series, 1)
         ar_hits += abs(fit.coefs[0][0, 0] - 0.8) <= 0.03
 

@@ -50,9 +50,7 @@ class CorrelationStub:
 
 
 def _series(seed, T=150, n=3):
-    spec = ScmSpec(n=n, max_lag=1,
-                   lag_edges=(Edge(0, 1, 1, 0.8), Edge(1, 2, 1, 0.6)),
-                   inst_edges=(), seed=seed)
+    spec = ScmSpec(WindowGraph(n, 1, frozenset({Edge(0, 1, 1, 0.8), Edge(1, 2, 1, 0.6)})), seed=seed)
     return simulate(spec, T).series
 
 
@@ -120,6 +118,10 @@ def test_fold_plan_bounds():
         make_fold_plan(10, 1)
     with pytest.raises(ValueError):
         make_fold_plan(4, 5)
+    for args, message in [((10, 2.0), "k must be an integer, got 2.0"),
+                          ((10.0, 2), "length must be an integer, got 10.0")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_fold_plan(*args)
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,6 +176,9 @@ def test_extract_training_validates_fold_index():
     plan = make_fold_plan(10, 5)
     with pytest.raises(ValueError):
         extract_training(series, plan, 5)
+    for fold in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^fold must be an integer, got {fold}$"):
+            extract_training(series, plan, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +396,7 @@ def test_run_vcdf_fits_the_series_itself_first_then_each_fold_in_order():
 def test_fold_failures_carry_the_fold_index():
     # 60 rows per training set is too short for varlingam at n=3: the fold
     # discovery, not the full-sample one, is what fails
-    spec = ScmSpec(n=3, max_lag=1, lag_edges=(Edge(0, 1, 1, 0.8),), inst_edges=(), seed=0)
+    spec = ScmSpec(WindowGraph(3, 1, frozenset({Edge(0, 1, 1, 0.8)})), seed=0)
     series = simulate(spec, 36).series
     with pytest.raises(ValueError, match=r"fold 0"):
         run_vcdf(series, make_discoverer("varlingam"), VcdfConfig(k=5))

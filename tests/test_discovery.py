@@ -36,16 +36,16 @@ SQRT3 = float(np.sqrt(3.0))
 
 def _ar_spec(seed):
     """Univariate x_t = 0.8 x_{t-1} + e_t with uniform noise."""
-    return ScmSpec(n=1, max_lag=1, lag_edges=(Edge(0, 0, 1, 0.8),), inst_edges=(), seed=seed)
+    return ScmSpec(WindowGraph(1, 1, frozenset({Edge(0, 0, 1, 0.8)})), seed=seed)
 
 
 def _single_edge_spec(seed):
     """x0 -> x1 at lag 1 with weight 0.8."""
-    return ScmSpec(n=2, max_lag=1, lag_edges=(Edge(0, 1, 1, 0.8),), inst_edges=(), seed=seed)
+    return ScmSpec(WindowGraph(2, 1, frozenset({Edge(0, 1, 1, 0.8)})), seed=seed)
 
 
 def _noise_spec(seed, n=3):
-    return ScmSpec(n=n, max_lag=1, lag_edges=(), inst_edges=(), seed=seed)
+    return ScmSpec(WindowGraph(n, 1, frozenset()), seed=seed)
 
 
 def _uniform(rng, size):
@@ -120,6 +120,9 @@ def test_fit_var_rejects_short_series_and_bad_order():
         fit_var(series, 6)
     with pytest.raises(ValueError, match="lag order"):
         fit_var(series, 0)
+    for p in (2.0, True):
+        with pytest.raises(ValueError, match=f"^p must be an integer, got {p}$"):
+            fit_var(series, p)
 
 
 def test_fit_var_residuals_are_orthogonal_to_regressors():
@@ -413,8 +416,7 @@ def test_varlingam_null_gives_empty_graph():
 
 def test_varlingam_recovers_both_layers():
     """Instantaneous 0 -> 1 (0.5) and lagged 1 -> 0 (0.6) at the same time."""
-    spec = ScmSpec(n=2, max_lag=1, lag_edges=(Edge(1, 0, 1, 0.6),),
-                   inst_edges=(Edge(0, 1, 0, 0.5),), seed=3)
+    spec = ScmSpec(WindowGraph(2, 1, frozenset({Edge(1, 0, 1, 0.6), Edge(0, 1, 0, 0.5)})), seed=3)
     config = DiscovererConfig(max_lag=2, prune_threshold=0.1)
     graph = varlingam_discover(simulate(spec, 2000).series, config)
     weights = {e.key: e.weight for e in graph.edges}
@@ -469,9 +471,7 @@ def test_lagreg_alpha_zero_returns_an_empty_graph():
 
 
 def test_lagreg_emits_no_instantaneous_edges():
-    spec = ScmSpec(n=3, max_lag=2,
-                   lag_edges=(Edge(0, 1, 1, 0.7),),
-                   inst_edges=(Edge(1, 2, 0, 0.8),), seed=6)
+    spec = ScmSpec(WindowGraph(3, 2, frozenset({Edge(0, 1, 1, 0.7), Edge(1, 2, 0, 0.8)})), seed=6)
     graph = lagreg_discover(simulate(spec, 1500).series, DiscovererConfig())
     assert all(e.lag >= 1 for e in graph.edges)
 

@@ -483,7 +483,7 @@ def test_field_kinds_reads_each_record_annotation():
         "WindowGraph": {"n": int, "max_lag": int},
         "DiscovererConfig": {"max_lag": int, "prune_threshold": float, "alpha": float},
         "VcdfConfig": {"k": int, "tau_c": float, "tau_v": float, "w": float, "epsilon": float},
-        "ScmSpec": {"n": int, "max_lag": int, "noise": str, "link": str, "trend_slope": float, "seed": int},
+        "ScmSpec": {"noise": str, "link": str, "trend_slope": float, "seed": int},
         "EdgeStability": {"cause": int, "effect": int, "lag": int, "r0": float, "folds": tuple[float, ...],
                           "c": float, "v": float, "kept": bool},
     }

@@ -9,18 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcdf import Edge, ScmSpec, benchmark_suite, companion_spectral_radius, random_scm, simulate
+from vcdf import Edge, ScmSpec, WindowGraph, benchmark_suite, companion_spectral_radius, random_scm, simulate
 from vcdf.series import instantaneous_order
 from vcdf.synthetic import _NOISE_SAMPLERS, _NOISE_STREAM, DEFAULT_BURN_IN, SETTINGS
 
 
+def _spec(n, max_lag, edges=(), **kwargs):
+    """The system on the graph of ``edges``."""
+    return ScmSpec(WindowGraph(n, max_lag, frozenset(edges)), **kwargs)
+
+
+def _layers(graph):
+    """The graph's lagged and instantaneous edges, each in ``sorted_edges`` order."""
+    edges = graph.sorted_edges()
+    return [e for e in edges if e.lag], [e for e in edges if not e.lag]
+
+
 def _chain_spec(weight=0.8, **kwargs):
     """Two variables, one lagged edge x0 -> x1 at lag 1."""
-    return ScmSpec(n=2, max_lag=1, lag_edges=(Edge(0, 1, 1, weight),), inst_edges=(), **kwargs)
+    return _spec(2, 1, [Edge(0, 1, 1, weight)], **kwargs)
 
 
 def _noise_only_spec(n=4, noise="gaussian", seed=0):
-    return ScmSpec(n=n, max_lag=1, lag_edges=(), inst_edges=(), noise=noise, seed=seed)
+    return _spec(n, 1, noise=noise, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -34,16 +45,11 @@ def test_spec_rejects_out_of_band_coefficients():
         _chain_spec(weight=0.05)
 
 
-def test_spec_rejects_lag0_edges_in_the_lagged_slot():
-    with pytest.raises(ValueError, match="must have lag in 1"):
-        ScmSpec(n=2, max_lag=1, lag_edges=(Edge(0, 1, 0, 0.5),), inst_edges=())
-
-
 def test_spec_rejects_edges_of_the_wrong_kind():
     with pytest.raises(ValueError, match=r"edge Edge\(cause=0, effect=1, lag=1, weight='0.5'\)"):
         _chain_spec(weight="0.5")
     with pytest.raises(ValueError, match="must be integers"):
-        ScmSpec(n=2, max_lag=1, lag_edges=(), inst_edges=(Edge(0, True, 0, 0.5),))
+        _spec(2, 1, [Edge(0, True, 0, 0.5)])
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -53,16 +59,23 @@ def test_spec_rejects_edges_of_the_wrong_kind():
     ("trend_slope", True, "trend_slope must be a number, got True"),
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("noise", 5, "noise must be a string, got 5"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("graph", (2, 1, ()), "graph must be a WindowGraph, got (2, 1, ())"),
+    ("graph", WindowGraph(2, 0, frozenset()), "graph max_lag must be >= 1, got 0"),
 ])
 def test_spec_rejects_scalar_fields_of_the_wrong_kind(field, value, message):
+    """``n`` and ``max_lag`` are the graph's fields, the rest the spec's own."""
+    graph = {"n": 2, "max_lag": 1, "edges": frozenset({Edge(0, 1, 1, 0.8)})}
+    fields = {}
+    (graph if field in graph else fields)[field] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        ScmSpec(**{"n": 2, "max_lag": 1, "lag_edges": (Edge(0, 1, 1, 0.8),), "inst_edges": (), field: value})
+        ScmSpec(**{"graph": WindowGraph(**graph), **fields})
 
 
 def test_spec_stores_numpy_scalars_as_python_ones():
-    spec = ScmSpec(n=np.int64(2), max_lag=np.uint64(1), lag_edges=(Edge(0, 1, 1, 0.8),), inst_edges=(),
-                   trend_slope=np.float64(0.005), seed=np.uint64(3))
-    assert [type(getattr(spec, name)) for name in ("n", "max_lag", "trend_slope", "seed")] == [int, int, float, int]
+    spec = _spec(np.int64(2), np.uint64(1), [Edge(0, 1, 1, 0.8)], trend_slope=np.float64(0.005), seed=np.uint64(3))
+    kinds = [type(v) for v in (spec.graph.n, spec.graph.max_lag, spec.trend_slope, spec.seed)]
+    assert kinds == [int, int, float, int]
     plain = _chain_spec(trend_slope=0.005, seed=3)
     assert spec == plain
     assert simulate(spec, 300).series.values.tobytes() == simulate(plain, 300).series.values.tobytes()
@@ -70,22 +83,22 @@ def test_spec_stores_numpy_scalars_as_python_ones():
 
 def test_spec_rejects_unstable_dynamics():
     with pytest.raises(ValueError, match="spectral radius"):
-        ScmSpec(n=2, max_lag=3, inst_edges=(), lag_edges=(
-            Edge(0, 0, 1, 0.9), Edge(0, 0, 2, 0.9), Edge(0, 0, 3, 0.9)))
+        _spec(2, 3, [Edge(0, 0, 1, 0.9), Edge(0, 0, 2, 0.9), Edge(0, 0, 3, 0.9)])
 
 
-def reference_spectral_radius(spec: ScmSpec) -> float:
+def reference_spectral_radius(graph: WindowGraph) -> float:
     """The companion radius built from per-lag matrices: the oracle for the block filled from the edges.
 
     A[l-1][effect, cause] is the coefficient at lag l and B[effect, cause] the
     instantaneous one; the companion's top block row is (I - B)^-1 [A_1 ... A_p].
     """
-    n, p = spec.n, spec.max_lag
+    n, p = graph.n, graph.max_lag
+    lagged, inst = _layers(graph)
     A = np.zeros((p, n, n))
-    for edge in spec.lag_edges:
+    for edge in lagged:
         A[edge.lag - 1, edge.effect, edge.cause] = edge.weight
     B = np.zeros((n, n))
-    for edge in spec.inst_edges:
+    for edge in inst:
         B[edge.effect, edge.cause] = edge.weight
     reduced = np.linalg.solve(np.eye(n) - B, A.transpose(1, 0, 2).reshape(n, p * n))
     companion = np.zeros((n * p, n * p))
@@ -96,25 +109,24 @@ def reference_spectral_radius(spec: ScmSpec) -> float:
 
 
 def test_matrices_follow_the_edge_list():
-    spec = ScmSpec(n=3, max_lag=2, inst_edges=(Edge(0, 2, 0, 0.3),),
-                   lag_edges=(Edge(0, 1, 1, 0.5), Edge(2, 1, 2, -0.4)))
-    assert companion_spectral_radius(spec) == reference_spectral_radius(spec)
-    assert companion_spectral_radius(spec) < 1.0
+    graph = _spec(3, 2, [Edge(0, 2, 0, 0.3), Edge(0, 1, 1, 0.5), Edge(2, 1, 2, -0.4)]).graph
+    assert companion_spectral_radius(graph) == reference_spectral_radius(graph)
+    assert companion_spectral_radius(graph) < 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("max_lag", [1, 2, 3])
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_spectral_radius_matches_the_per_lag_matrices(setting, max_lag, seed):
-    spec = random_scm(6, max_lag, 0.3, setting, seed)
-    assert spec.lag_edges and spec.inst_edges
-    assert companion_spectral_radius(spec) == reference_spectral_radius(spec)
+    graph = random_scm(6, max_lag, 0.3, setting, seed).graph
+    assert all(_layers(graph))
+    assert companion_spectral_radius(graph) == reference_spectral_radius(graph)
 
 
-def test_truth_graph_collects_both_layers():
-    spec = ScmSpec(n=3, max_lag=2, inst_edges=(Edge(0, 2, 0, 0.3),),
-                   lag_edges=(Edge(0, 1, 1, 0.5),))
-    truth = spec.truth_graph()
+def test_simulate_returns_the_spec_graph_as_truth():
+    spec = _spec(3, 2, [Edge(0, 2, 0, 0.3), Edge(0, 1, 1, 0.5)])
+    truth = simulate(spec, 30).truth
+    assert truth == spec.graph
     assert truth.n == 3 and truth.max_lag == 2
     assert {e.key for e in truth.edges} == {(0, 2, 0), (0, 1, 1)}
 
@@ -125,9 +137,10 @@ def test_truth_graph_collects_both_layers():
 
 def test_random_scm_edge_budget():
     spec = random_scm(6, 3, 0.15, "linear", 0)
-    assert len(spec.lag_edges) == 4     # round(0.15 * 6 * 5)
-    assert len(spec.inst_edges) == 2    # round(half that)
-    for edge in spec.lag_edges + spec.inst_edges:
+    lagged, inst = _layers(spec.graph)
+    assert len(lagged) == 4     # round(0.15 * 6 * 5)
+    assert len(inst) == 2       # round(half that)
+    for edge in spec.graph.edges:
         assert 0.1 <= abs(edge.weight) <= 0.9
 
 
@@ -165,9 +178,14 @@ def test_random_scm_rejects_degenerate_requests():
         ((4, 2, "0.3", "linear", 0), "density must be a number, got '0.3'"),
         ((4, 2, 0.3, 5, 0), "setting must be a string, got 5"),
         ((4, 2, 0.3, "linear", 1.5), "seed must be an integer, got 1.5"),
+        ((4, 2, 0.3, "linear", -1), "seed must be >= 0, got -1"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             random_scm(*args)
+    for seed, message in [(-1, "seed must be >= 0, got -1"), (True, "seed must be an integer, got True"),
+                          ("1", "seed must be an integer, got '1'")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            benchmark_suite("linear", 4, 300, 2, seed)
 
 
 @settings(max_examples=20, deadline=None)
@@ -175,9 +193,9 @@ def test_random_scm_rejects_degenerate_requests():
        st.sampled_from(SETTINGS))
 def test_random_scm_always_returns_a_stable_system(seed, setting):
     spec = random_scm(5, 3, 0.2, setting, seed)
-    assert companion_spectral_radius(spec) < 1.0
-    # instantaneous layer must be acyclic: truth_graph() would refuse a cycle
-    spec.truth_graph()
+    assert companion_spectral_radius(spec.graph) < 1.0
+    # instantaneous layer must be acyclic: instantaneous_order would refuse a cycle
+    instantaneous_order(spec.graph.n, spec.graph.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -192,32 +210,33 @@ def test_simulate_shape_names_and_determinism():
     assert np.isfinite(ds.series.values).all()
     again = simulate(spec, 300)
     np.testing.assert_array_equal(ds.series.values, again.series.values)
-    assert ds.truth == spec.truth_graph()
+    assert ds.truth == spec.graph
 
 
 def reference_simulate(spec: ScmSpec, T: int, burn_in: int = DEFAULT_BURN_IN) -> np.ndarray:
     """The simulated values as a per-term loop computes them: the oracle for the compiled step.
 
-    Each step sums a variable's lagged terms in ``lag_edges`` order, skipping
+    Each step sums a variable's lagged terms in ``sorted_edges`` order, skipping
     those that reach before step 0, then its instantaneous terms, on Python floats.
     """
+    n, (lagged, inst) = spec.graph.n, _layers(spec.graph)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _NOISE_STREAM]))
     total = burn_in + T
-    noise = _NOISE_SAMPLERS[spec.noise](rng, (total, spec.n))
+    noise = _NOISE_SAMPLERS[spec.noise](rng, (total, n))
     lag_parents, inst_parents = {}, {}
-    for edge in spec.lag_edges:
+    for edge in lagged:
         lag_parents.setdefault(edge.effect, []).append((edge.cause, edge.lag, edge.weight))
-    for edge in spec.inst_edges:
+    for edge in inst:
         inst_parents.setdefault(edge.effect, []).append((edge.cause, edge.weight))
     plan = [(j, lag_parents.get(j, ()), inst_parents.get(j, ()))
-            for j in instantaneous_order(spec.n, spec.inst_edges)]
+            for j in instantaneous_order(n, inst)]
     squash = math.tanh if spec.link == "tanh" else None
-    x = np.empty((total, spec.n))
-    history = deque(maxlen=spec.max_lag)
+    x = np.empty((total, n))
+    history = deque(maxlen=spec.graph.max_lag)
     for t in range(total):
         drift = spec.trend_slope * t
         eps = noise[t].tolist()
-        row = [0.0] * spec.n
+        row = [0.0] * n
         for j, lagged, inst in plan:
             acc = 0.0
             for cause, lag, weight in lagged:
@@ -243,7 +262,7 @@ _DENSITY = {2: 1.0, 5: 0.3, 15: 0.15}
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_simulate_matches_the_per_term_loop_bit_for_bit(setting, max_lag, burn_in, n):
     spec = random_scm(n, max_lag, _DENSITY[n], setting, 100 * n + 10 * max_lag + burn_in)
-    assert spec.lag_edges and spec.inst_edges
+    assert all(_layers(spec.graph))
     T = 10 * max_lag + 7
     values = simulate(spec, T, burn_in).series.values
     assert values.tobytes() == reference_simulate(spec, T, burn_in).tobytes()
@@ -255,8 +274,8 @@ def test_simulate_compiles_a_variable_with_597_parents():
     weights = rng.uniform(0.1, 0.9, 597) * rng.choice([-1.0, 1.0], 597)
     edges = [Edge(cause, 0, lag, float(w))
              for (cause, lag), w in zip([(c, l) for c in range(1, 200) for l in (1, 2, 3)], weights)]
-    spec = ScmSpec(n=200, max_lag=3, lag_edges=tuple(edges), inst_edges=(), trend_slope=-0.005, seed=4)
-    assert companion_spectral_radius(spec) == reference_spectral_radius(spec) == 0.0
+    spec = _spec(200, 3, edges, trend_slope=-0.005, seed=4)
+    assert companion_spectral_radius(spec.graph) == reference_spectral_radius(spec.graph) == 0.0
     for burn_in in (0, 5):
         values = simulate(spec, 30, burn_in).series.values
         assert values.tobytes() == reference_simulate(spec, 30, burn_in).tobytes()
@@ -314,8 +333,8 @@ def test_single_edge_transfer_weight_is_recovered_by_ols():
 
 
 def test_trend_produces_drift():
-    flat = ScmSpec(n=2, max_lag=1, lag_edges=(), inst_edges=(), seed=7)
-    sloped = ScmSpec(n=2, max_lag=1, lag_edges=(), inst_edges=(), trend_slope=0.005, seed=7)
+    flat = _spec(2, 1, seed=7)
+    sloped = _spec(2, 1, trend_slope=0.005, seed=7)
     flat_vals = simulate(flat, 1500).series.values
     sloped_vals = simulate(sloped, 1500).series.values
     t = np.arange(1500, dtype=float)
@@ -327,8 +346,7 @@ def test_trend_produces_drift():
 
 
 def test_tanh_link_bounds_the_parent_contribution():
-    spec = ScmSpec(n=2, max_lag=1, lag_edges=(Edge(0, 1, 1, 0.9),), inst_edges=(),
-                   link="tanh", seed=13)
+    spec = _spec(2, 1, [Edge(0, 1, 1, 0.9)], link="tanh", seed=13)
     values = simulate(spec, 2000).series.values
     # contribution = x1_t - e_t is tanh-bounded; the observable proxy is that
     # x1 keeps noise-like spread instead of inflating like the linear case
